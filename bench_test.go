@@ -61,13 +61,22 @@ func BenchmarkFig5_TwoWayAttack(b *testing.B) {
 
 // ---------------------------------------------------------------- Fig 7
 
-// fig7Ledger builds a 1000-journal ledger once per configuration.
-func fig7Ledger(b *testing.B, payloadSize, signers int) (*benchkit.TestLedger, []uint64) {
+// newBenchLedger opens a bench engine that is closed, stopping its
+// committer goroutine, when the benchmark finishes.
+func newBenchLedger(b *testing.B, uri string, height uint8, blockSize int) *benchkit.TestLedger {
 	b.Helper()
-	tl, err := benchkit.NewTestLedger("ledger://bench7", 10, 128)
+	tl, err := benchkit.NewTestLedger(uri, height, blockSize)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { tl.L.Close() })
+	return tl
+}
+
+// fig7Ledger builds a 1000-journal ledger once per configuration.
+func fig7Ledger(b *testing.B, payloadSize, signers int) (*benchkit.TestLedger, []uint64) {
+	b.Helper()
+	tl := newBenchLedger(b, "ledger://bench7", 10, 128)
 	co := make([]*sig.KeyPair, signers-1)
 	for i := range co {
 		co[i] = sig.GenerateDeterministic(fmt.Sprintf("bench7/co/%d", i))
@@ -318,10 +327,7 @@ func BenchmarkFig9b_ClueVerifyByEntries(b *testing.B) {
 
 func BenchmarkFig10a_NotarizationAppend(b *testing.B) {
 	b.Run("LedgerDB", func(b *testing.B) {
-		tl, err := benchkit.NewTestLedger("ledger://bench10a", 15, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tl := newBenchLedger(b, "ledger://bench10a", 15, 128)
 		payload := benchkit.Payload("b10a", 0, 256)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -345,10 +351,7 @@ func BenchmarkFig10a_NotarizationAppend(b *testing.B) {
 func BenchmarkFig10b_NotarizationVerify(b *testing.B) {
 	const docs = 512
 	b.Run("LedgerDB", func(b *testing.B) {
-		tl, err := benchkit.NewTestLedger("ledger://bench10b", 15, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tl := newBenchLedger(b, "ledger://bench10b", 15, 128)
 		var jsns []uint64
 		for i := 0; i < docs; i++ {
 			r, err := tl.Append(benchkit.Payload("b10b", i, 4<<10), fmt.Sprintf("doc-%d", i))
@@ -387,10 +390,7 @@ func BenchmarkFig10b_NotarizationVerify(b *testing.B) {
 func BenchmarkFig10cd_LineageVerify(b *testing.B) {
 	for _, m := range []int{5, 50, 100} {
 		b.Run(fmt.Sprintf("LedgerDB/entries=%d", m), func(b *testing.B) {
-			tl, err := benchkit.NewTestLedger("ledger://bench10c", 15, 128)
-			if err != nil {
-				b.Fatal(err)
-			}
+			tl := newBenchLedger(b, "ledger://bench10c", 15, 128)
 			for v := 0; v < m; v++ {
 				if _, err := tl.Append(benchkit.Payload("asset", v, 1024), "asset"); err != nil {
 					b.Fatal(err)
@@ -444,10 +444,7 @@ func BenchmarkAppendSingleVsBatch(b *testing.B) {
 		return reqs
 	}
 	b.Run("single", func(b *testing.B) {
-		tl, err := benchkit.NewTestLedger("ledger://single", 15, 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tl := newBenchLedger(b, "ledger://single", 15, 1024)
 		reqs := mkReqs(tl, batchSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -457,10 +454,7 @@ func BenchmarkAppendSingleVsBatch(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
-		tl, err := benchkit.NewTestLedger("ledger://batched", 15, 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tl := newBenchLedger(b, "ledger://batched", 15, 1024)
 		reqs := mkReqs(tl, batchSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i += batchSize {
@@ -474,24 +468,12 @@ func BenchmarkAppendSingleVsBatch(b *testing.B) {
 // ------------------------------------------- staged commit pipeline
 
 // benchParallelAppend drives par goroutines of pre-signed appends at
-// one engine. depth 0 is the serial path (every append fully under the
-// global lock); depth > 0 enables the staged commit pipeline, where
-// admission (π_c verification, hashing, blob writes) and receipt
-// signing run concurrently and index updates group-commit.
-func benchParallelAppend(b *testing.B, depth, par int) {
+// one engine through the staged commit pipeline: admission (π_c
+// verification, hashing, blob writes) and receipt signing run
+// concurrently and index updates group-commit.
+func benchParallelAppend(b *testing.B, par int) {
 	b.Helper()
-	var (
-		tl  *benchkit.TestLedger
-		err error
-	)
-	if depth > 0 {
-		tl, err = benchkit.NewTestLedgerPipelined("ledger://pipe-bench", 15, 1024, depth)
-	} else {
-		tl, err = benchkit.NewTestLedger("ledger://pipe-bench", 15, 1024)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
+	tl := newBenchLedger(b, "ledger://pipe-bench", 15, 1024)
 	const pool = 512
 	reqs := make([]*journal.Request, pool)
 	for i := range reqs {
@@ -520,22 +502,15 @@ func benchParallelAppend(b *testing.B, depth, par int) {
 		}(w, n)
 	}
 	wg.Wait()
-	b.StopTimer()
-	if err := tl.L.Close(); err != nil {
-		b.Fatal(err)
-	}
 }
 
-// BenchmarkAppendSerialVsPipelined compares the serial write path
-// against the staged commit pipeline at client parallelism 1/4/16
-// (EXPERIMENTS.md records the measured ratios next to Fig. 7).
-func BenchmarkAppendSerialVsPipelined(b *testing.B) {
+// BenchmarkAppendParallelism sweeps client parallelism 1/4/16 over the
+// staged commit pipeline (EXPERIMENTS.md records the measured rates next
+// to Fig. 7).
+func BenchmarkAppendParallelism(b *testing.B) {
 	for _, par := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("serial/par=%d", par), func(b *testing.B) {
-			benchParallelAppend(b, 0, par)
-		})
-		b.Run(fmt.Sprintf("pipelined/par=%d", par), func(b *testing.B) {
-			benchParallelAppend(b, 256, par)
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			benchParallelAppend(b, par)
 		})
 	}
 }
@@ -546,10 +521,7 @@ func BenchmarkAppendSerialVsPipelined(b *testing.B) {
 // (journals per op over a 500-journal ledger with clues and time
 // journals) — the cost an external auditor pays.
 func BenchmarkAudit(b *testing.B) {
-	tl, err := benchkit.NewTestLedger("ledger://benchaudit", 10, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tl := newBenchLedger(b, "ledger://benchaudit", 10, 64)
 	clock := int64(0)
 	authority := tsa.New("bench-audit", tsa.Options{Clock: func() int64 { clock++; return clock }})
 	for i := 0; i < 500; i++ {
@@ -586,10 +558,7 @@ func BenchmarkAudit(b *testing.B) {
 // under concurrent readers — the lock-free-read claim of the engine
 // design (appends serialize; proofs scale with cores).
 func BenchmarkParallelGetProof(b *testing.B) {
-	tl, err := benchkit.NewTestLedger("ledger://par", 10, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tl := newBenchLedger(b, "ledger://par", 10, 128)
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if _, err := tl.Append(benchkit.Payload("par", i, 256)); err != nil {
@@ -617,10 +586,7 @@ func BenchmarkParallelGetProof(b *testing.B) {
 
 func BenchmarkTable2_Notarization(b *testing.B) {
 	b.Run("LedgerDB/verify", func(b *testing.B) {
-		tl, err := benchkit.NewTestLedger("ledger://bencht2", 15, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tl := newBenchLedger(b, "ledger://bencht2", 15, 128)
 		doc := benchkit.Payload("t2", 0, 32<<10)
 		r, err := tl.Append(doc, "doc-0")
 		if err != nil {
@@ -657,10 +623,7 @@ func BenchmarkTable2_Notarization(b *testing.B) {
 func BenchmarkTable2_Lineage(b *testing.B) {
 	for _, versions := range []int{5, 100} {
 		b.Run(fmt.Sprintf("LedgerDB/versions=%d", versions), func(b *testing.B) {
-			tl, err := benchkit.NewTestLedger("ledger://bencht2l", 15, 128)
-			if err != nil {
-				b.Fatal(err)
-			}
+			tl := newBenchLedger(b, "ledger://bencht2l", 15, 128)
 			for v := 0; v < versions; v++ {
 				if _, err := tl.Append(benchkit.Payload("k", v, 1024), "k"); err != nil {
 					b.Fatal(err)

@@ -85,15 +85,15 @@ func main() {
 	}
 
 	experiments := map[string]func() []*benchkit.Table{
-		"table1": func() []*benchkit.Table { return []*benchkit.Table{benchkit.Table1()} },
-		"table2": func() []*benchkit.Table { return []*benchkit.Table{benchkit.Table2()} },
-		"fig5":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig5()} },
-		"fig7":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig7()} },
-		"fig8a":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8a(*full)} },
-		"fig8b":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8b(*full)} },
-		"fig8p":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8PathLens(*full)} },
-		"fig9a":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig9a(*full)} },
-		"fig9b":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig9b(*full)} },
+		"table1":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Table1()} },
+		"table2":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Table2()} },
+		"fig5":     func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig5()} },
+		"fig7":     func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig7()} },
+		"fig8a":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8a(*full)} },
+		"fig8b":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8b(*full)} },
+		"fig8p":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8PathLens(*full)} },
+		"fig9a":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig9a(*full)} },
+		"fig9b":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig9b(*full)} },
 		"storage":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.StorageTable()} },
 		"paraudit": func() []*benchkit.Table { return []*benchkit.Table{benchkit.ParAudit(*full)} },
 		"proofqps": func() []*benchkit.Table { return []*benchkit.Table{benchkit.ProofQPS(*full)} },

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ledgerdb-server [-addr :8420] [-uri ledger://demo] [-dir ./data]
-//	                [-height 15] [-block 128] [-dtau 1s] [-pipeline 256]
+//	                [-height 15] [-block 128] [-dtau 1s]
 //	                [-max-inflight 1024] [-req-timeout 30s] [-drain-timeout 30s]
 //	                [-shards 1] [-fold 1s]
 //
@@ -55,7 +55,6 @@ func main() {
 	height := flag.Uint("height", 15, "fam fractal height δ")
 	block := flag.Int("block", 128, "journals per block")
 	dtau := flag.Duration("dtau", time.Second, "T-Ledger finalization period Δτ")
-	pipeline := flag.Int("pipeline", 256, "staged commit pipeline depth (0 = synchronous commits)")
 	maxInflight := flag.Int("max-inflight", 1024, "concurrent requests admitted before shedding 429 (0 = unlimited)")
 	reqTimeout := flag.Duration("req-timeout", 30*time.Second, "per-request handling timeout (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight requests")
@@ -116,7 +115,6 @@ func main() {
 			Store:         store,
 			Blobs:         blobs,
 			Clock:         clock,
-			PipelineDepth: *pipeline,
 		})
 		if err != nil {
 			log.Fatalf("open ledger %d: %v", i, err)

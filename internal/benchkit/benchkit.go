@@ -146,19 +146,9 @@ type TestLedger struct {
 }
 
 // NewTestLedger opens a bench engine (fractal height δ, block size b)
-// with synchronous commits.
+// over in-memory stores. Every engine runs a committer goroutine;
+// callers that are done with it should Close tl.L.
 func NewTestLedger(uri string, height uint8, blockSize int) (*TestLedger, error) {
-	return newTestLedger(uri, height, blockSize, 0)
-}
-
-// NewTestLedgerPipelined opens a bench engine with the staged commit
-// pipeline enabled at the given queue depth. Callers must Close the
-// ledger to drain the pipeline.
-func NewTestLedgerPipelined(uri string, height uint8, blockSize, depth int) (*TestLedger, error) {
-	return newTestLedger(uri, height, blockSize, depth)
-}
-
-func newTestLedger(uri string, height uint8, blockSize, depth int) (*TestLedger, error) {
 	tl := &TestLedger{
 		LSP:    sig.GenerateDeterministic("bench/lsp"),
 		DBA:    sig.GenerateDeterministic("bench/dba"),
@@ -174,18 +164,24 @@ func newTestLedger(uri string, height uint8, blockSize, depth int) (*TestLedger,
 		DBA:           tl.DBA.Public(),
 		Store:         streamfs.NewMemory(),
 		Blobs:         streamfs.NewMemoryBlobs(),
-		// The pipelined sequencer calls Clock concurrently; the serial
-		// path inherits the same atomic counter.
+		// The sequencer, the committer and state reads call Clock
+		// concurrently.
 		Clock: func() int64 {
 			return atomic.AddInt64(&tl.clock, 1)
 		},
-		PipelineDepth: depth,
 	})
 	if err != nil {
 		return nil, err
 	}
 	tl.L = l
 	return tl, nil
+}
+
+// mustClose drains a bench engine and stops its committer goroutine.
+func mustClose(l *ledger.Ledger) {
+	if err := l.Close(); err != nil {
+		panic(err)
+	}
 }
 
 // Request builds a signed request with optional co-signers.

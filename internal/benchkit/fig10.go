@@ -66,6 +66,7 @@ func Fig10a(full bool) *Table {
 			}
 		}
 		ldbRow = append(ldbRow, Throughput(n, time.Since(start)))
+		mustClose(tl.L)
 
 		fab := fabricsim.New(fabricsim.Config{}) // no ordering delay: pipeline cost
 		start = time.Now()
@@ -121,6 +122,7 @@ func Fig10b(full bool) *Table {
 			}
 		}
 		ldbRow = append(ldbRow, Latency(time.Since(start), probes))
+		mustClose(tl.L)
 
 		// Fabric: a verified read is GetState after the tx's ordering
 		// round; the paper measures end-to-end retrieval+verification,
@@ -194,6 +196,7 @@ func Fig10c(full bool) *Table {
 		// m random journal reads per probe.
 		elapsed := time.Since(start) + time.Duration(probes*m)*randomReadLatency
 		ldbRow = append(ldbRow, Throughput(probes, elapsed))
+		mustClose(tl.L)
 
 		fab := fabricsim.New(fabricsim.Config{})
 		for c := 0; c < clues; c++ {
@@ -258,6 +261,7 @@ func Fig10d(full bool) *Table {
 		}
 		elapsed := time.Since(start) + time.Duration(reps*m)*randomReadLatency
 		ldbRow = append(ldbRow, Latency(elapsed, reps))
+		mustClose(tl.L)
 
 		fab := fabricsim.New(fabricsim.Config{})
 		for v := 0; v < m; v++ {

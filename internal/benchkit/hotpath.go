@@ -51,10 +51,9 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 }
 
 // HotPath measures the profile-driven hot paths: the zero-alloc
-// encode+digest core, full Append under the serial / pipelined /
-// admission-batch-verify configurations, and zero-copy journal serving
-// from the disk backend. It returns the printable table plus the
-// machine-readable results.
+// encode+digest core, full pipelined Append under concurrent
+// submitters, and zero-copy journal serving from the disk backend. It
+// returns the printable table plus the machine-readable results.
 func HotPath(full bool) (*Table, *HotPathReport) {
 	rep := &HotPathReport{GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	add := func(name string, r testing.BenchmarkResult) {
@@ -73,20 +72,12 @@ func HotPath(full bool) (*Table, *HotPathReport) {
 		}
 	}))
 
-	add("append-serial", benchAppend(0, 0))
-	add("append-pipelined", benchAppend(64, 0))
-	batches := []int{16}
-	if full {
-		batches = []int{16, 64, 256}
-	}
-	for _, batch := range batches {
-		add(fmt.Sprintf("append-batchverify-%d", batch), benchAppend(64, batch))
-	}
+	add("append-pipelined", benchAppend())
 	add("proof-getjournal-zerocopy", benchGetJournal())
 
 	t := &Table{
-		Title: "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:  "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor)",
+		Title:  "Hot paths: steady-state cost of the profiled append and serve paths",
+		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor)",
 		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s"},
 	}
 	for _, r := range rep.Results {
@@ -111,6 +102,7 @@ func hotPathRecord() *journal.Record {
 	if err != nil {
 		panic(err)
 	}
+	defer mustClose(tl.L)
 	rcpt, err := tl.Append(Payload("hotpath", 0, 256), "K0")
 	if err != nil {
 		panic(err)
@@ -122,13 +114,11 @@ func hotPathRecord() *journal.Record {
 	return rec
 }
 
-// benchAppend measures Append throughput: depth 0 is the synchronous
-// baseline; with a pipeline, 32 concurrent submitters per core keep
-// groups forming; verifyBatch additionally routes π_c checks through
-// the admission worker pool.
-func benchAppend(depth, verifyBatch int) testing.BenchmarkResult {
+// benchAppend measures pipelined Append throughput with 32 concurrent
+// submitters per core, enough to keep groups forming.
+func benchAppend() testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
-		tl, err := newHotLedger(depth, verifyBatch)
+		tl, err := NewTestLedger("ledger://hotpath-append", 6, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,24 +130,16 @@ func benchAppend(depth, verifyBatch int) testing.BenchmarkResult {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		if depth == 0 {
-			for i := 0; i < b.N; i++ {
+		var next atomic.Int64
+		b.SetParallelism(32)
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				i := next.Add(1) - 1
 				if _, err := tl.L.Append(reqs[i]); err != nil {
 					b.Fatal(err)
 				}
 			}
-		} else {
-			var next atomic.Int64
-			b.SetParallelism(32)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := next.Add(1) - 1
-					if _, err := tl.L.Append(reqs[i]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		})
 		b.StopTimer()
 		if err := tl.L.Close(); err != nil {
 			b.Fatal(err)
@@ -165,35 +147,8 @@ func benchAppend(depth, verifyBatch int) testing.BenchmarkResult {
 	})
 }
 
-func newHotLedger(depth, verifyBatch int) (*TestLedger, error) {
-	tl := &TestLedger{
-		LSP:    sig.GenerateDeterministic("bench/lsp"),
-		DBA:    sig.GenerateDeterministic("bench/dba"),
-		Client: sig.GenerateDeterministic("bench/client"),
-		URI:    "ledger://hotpath-append",
-		clock:  1,
-	}
-	l, err := ledger.Open(ledger.Config{
-		URI:           tl.URI,
-		FractalHeight: 6,
-		BlockSize:     64,
-		LSP:           tl.LSP,
-		DBA:           tl.DBA.Public(),
-		Store:         streamfs.NewMemory(),
-		Blobs:         streamfs.NewMemoryBlobs(),
-		Clock:         func() int64 { return atomic.AddInt64(&tl.clock, 1) },
-		PipelineDepth: depth,
-		VerifyBatch:   verifyBatch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tl.L = l
-	return tl, nil
-}
-
 // ProfileWorkloads drives the two hottest production paths — pipelined
-// batch-verified append and proof serving — with fixed op counts, sized
+// append and proof serving — with fixed op counts, sized
 // to give pprof enough samples for a useful flame graph. It is the
 // target of cmd/bench's -cpuprofile/-memprofile/-mutexprofile flags
 // (`bench -cpuprofile cpu.out profile`).
@@ -203,12 +158,12 @@ func ProfileWorkloads(full bool) *Table {
 		appends, proofs = 10000, 100000
 	}
 	t := &Table{
-		Title: "Profile workloads: sustained append + proof serving",
-		Note:  "run under -cpuprofile/-memprofile/-mutexprofile; rates are incidental, the profile is the product",
+		Title:  "Profile workloads: sustained append + proof serving",
+		Note:   "run under -cpuprofile/-memprofile/-mutexprofile; rates are incidental, the profile is the product",
 		Header: []string{"workload", "ops", "elapsed", "rate"},
 	}
 
-	tl, err := newHotLedger(64, 16)
+	tl, err := NewTestLedger("ledger://hotpath-append", 6, 64)
 	if err != nil {
 		panic(err)
 	}
@@ -239,7 +194,7 @@ func ProfileWorkloads(full bool) *Table {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	t.AddRow("append (pipelined, batch-verify)", fmt.Sprintf("%d", appends),
+	t.AddRow("append (pipelined)", fmt.Sprintf("%d", appends),
 		fmt.Sprintf("%.1fms", elapsed.Seconds()*1000), Throughput(appends, elapsed))
 
 	size := tl.L.Size()
@@ -310,6 +265,7 @@ func benchGetJournal() testing.BenchmarkResult {
 		panic(err)
 	}
 	tl.L = l
+	defer mustClose(l)
 	const journals = 256
 	for i := 0; i < journals; i++ {
 		if _, err := tl.Append(Payload("hot-zc", i, 256)); err != nil {

@@ -51,8 +51,8 @@ func ShardScaling(full bool) *Table {
 	}
 
 	t := &Table{
-		Title: fmt.Sprintf("Shard scale-out: %d pre-signed appends, %d workers total (fixed budget)", requests, workers),
-		Note:  "speedup vs 1 shard on THIS host; single-core hosts time-slice and stay ~1x",
+		Title:  fmt.Sprintf("Shard scale-out: %d pre-signed appends, %d workers total (fixed budget)", requests, workers),
+		Note:   "speedup vs 1 shard on THIS host; single-core hosts time-slice and stay ~1x",
 		Header: []string{"shards", "elapsed", "appends/s", "speedup", "fold+proof"},
 	}
 	var base time.Duration
@@ -85,7 +85,6 @@ func runShardRow(n, workers int, reqs []*journal.Request) (elapsed, foldCost tim
 			Store:         streamfs.NewMemory(),
 			Blobs:         streamfs.NewMemoryBlobs(),
 			Clock:         func() int64 { return atomic.AddInt64(&clock, 1) },
-			PipelineDepth: 64,
 		})
 		if err != nil {
 			panic(err)

@@ -59,6 +59,7 @@ func probeLedgerDBMutation() bool {
 	if err != nil {
 		return false
 	}
+	defer mustClose(tl.L)
 	for i := 0; i < 6; i++ {
 		if _, err := tl.Append(Payload("t1", i, 64)); err != nil {
 			return false
@@ -101,6 +102,7 @@ func probeLedgerDBLineage() bool {
 	if err != nil {
 		return false
 	}
+	defer mustClose(tl.L)
 	for i := 0; i < 4; i++ {
 		if _, err := tl.Append(Payload("lin", i, 64), "asset"); err != nil {
 			return false

@@ -6,7 +6,9 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/sig"
+	"ledgerdb/internal/wire"
 )
 
 // Hostile-server tests: the SDK must fail cleanly (typed error, no
@@ -111,4 +113,23 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestBatchReceiptHugeCountIsTamper: a corrupted tx-hash count in a
+// batch receipt must surface as tampering, not size an allocation (a
+// flipped varint byte once asked for hundreds of GiB).
+func TestBatchReceiptHugeCountIsTamper(t *testing.T) {
+	w := wire.NewWriter(256)
+	w.Uvarint(1)       // first jsn
+	w.Uvarint(1 << 50) // count
+	w.Digest(hashutil.Zero)
+	w.Int64(0)
+	sig.EncodePublicKey(w, sig.PublicKey{})
+	sig.EncodeSignature(w, sig.Signature{})
+	c := &Client{LSP: sig.GenerateDeterministic("hostile-lsp").Public()}
+	_, _, err := c.decodeBatchReceipt(&reply{}, w.Bytes())
+	var te *TamperError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want TamperError", err)
+	}
 }

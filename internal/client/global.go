@@ -84,6 +84,10 @@ func (c *Client) decodeBatchReceipt(rep *reply, raw []byte) (*ledger.BatchReceip
 		LSPPK:     sig.DecodePublicKey(r),
 		LSPSig:    sig.DecodeSignature(r),
 	}
+	if br.Count > uint64(r.Remaining())/hashutil.Size {
+		// A corrupted count must not size the allocation below.
+		return nil, nil, rep.tamper("batch receipt decode", fmt.Errorf("batch of %d tx-hashes exceeds the %d-byte payload", br.Count, len(raw)))
+	}
 	txHashes := make([]hashutil.Digest, 0, br.Count)
 	for i := uint64(0); i < br.Count; i++ {
 		txHashes = append(txHashes, r.Digest())

@@ -45,7 +45,7 @@ func (s *stack) fatalf(format string, args ...any) {
 	s.t.Fatalf("%s\n%s", fmt.Sprintf(format, args...), s.repro)
 }
 
-func newStack(t *testing.T, repro string, pipelineDepth int) *stack {
+func newStack(t *testing.T, repro string) *stack {
 	t.Helper()
 	clock := logicalclock.New(500_000)
 	lsp := sig.GenerateDeterministic("chaos-lsp")
@@ -66,12 +66,12 @@ func newStack(t *testing.T, repro string, pipelineDepth int) *stack {
 		Store:         streamfs.NewMemory(),
 		Blobs:         streamfs.NewMemoryBlobs(),
 		Clock:         clock.Tick,
-		PipelineDepth: pipelineDepth,
 	}
 	l, err := ledger.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { l.Close() })
 	srv := server.NewWithOptions(l, tl, server.Options{
 		MaxInFlight:    32,
 		RequestTimeout: 5 * time.Second,
@@ -152,7 +152,7 @@ func (s *stack) classify(op string, err error) {
 func runIteration(t *testing.T, seed int64, iter int) {
 	rng := rand.New(rand.NewSource(seed + int64(iter)*1_000_003))
 	repro := fmt.Sprintf("repro: CHAOSTEST_SEED=%d CHAOSTEST_ITER=%d go test -run TestNetworkChaosTorture ./internal/integration/chaostest", seed, iter)
-	s := newStack(t, repro, 0)
+	s := newStack(t, repro)
 	s.proxy.ArmSchedule(netchaos.RandomSchedule(rng, 96))
 
 	var committed []accepted

@@ -35,7 +35,7 @@ import (
 const noRepro = "deterministic regression (no repro seed)"
 
 func TestAmbiguousLossRetriesExactlyOnce(t *testing.T) {
-	s := newStack(t, noRepro, 0)
+	s := newStack(t, noRepro)
 	s.proxy.Arm(netchaos.Fault{Kind: netchaos.KindDropResponse, N: 1})
 	before := s.l.Size()
 	r, err := s.cli.Append([]byte("ambiguous-loss"), "reg")
@@ -58,7 +58,7 @@ func TestAmbiguousLossRetriesExactlyOnce(t *testing.T) {
 }
 
 func TestMiddleboxDuplicateCommitsOnce(t *testing.T) {
-	s := newStack(t, noRepro, 0)
+	s := newStack(t, noRepro)
 	s.proxy.Arm(netchaos.Fault{Kind: netchaos.KindDuplicate, N: 1})
 	before := s.l.Size()
 	r, err := s.cli.Append([]byte("middlebox-replay"), "reg")
@@ -77,7 +77,7 @@ func TestMiddleboxDuplicateCommitsOnce(t *testing.T) {
 }
 
 func TestCorruptReceiptSurfacesEvidenceWithoutRetry(t *testing.T) {
-	s := newStack(t, noRepro, 0)
+	s := newStack(t, noRepro)
 	// XOR 0x01 keeps the mutated byte printable, so the envelope still
 	// parses and the flip is caught by the receipt checks, not by JSON.
 	s.proxy.Arm(netchaos.Fault{Kind: netchaos.KindCorrupt, N: 1, Arg: 7, XOR: 0x01})
@@ -114,7 +114,7 @@ func TestCorruptReceiptSurfacesEvidenceWithoutRetry(t *testing.T) {
 }
 
 func TestSlowLorisBoundedByDeadline(t *testing.T) {
-	s := newStack(t, noRepro, 0)
+	s := newStack(t, noRepro)
 	r, err := s.cli.Append([]byte("slow-loris-target"), "reg")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestSlowLorisBoundedByDeadline(t *testing.T) {
 }
 
 func TestRetryAfterHonoredEndToEnd(t *testing.T) {
-	s := newStack(t, noRepro, 0)
+	s := newStack(t, noRepro)
 	s.proxy.Arm(netchaos.Fault{Kind: netchaos.KindBurst5xx, N: 1, Arg: 1, Dur: time.Second})
 	c := s.cli.Clone()
 	c.MaxBackoff = 30 * time.Second // don't clamp the advertised hint
@@ -152,7 +152,7 @@ func TestRetryAfterHonoredEndToEnd(t *testing.T) {
 }
 
 func TestDrainLosesNoCommittedGroup(t *testing.T) {
-	s := newStack(t, noRepro, 8) // staged commit pipeline, depth 8
+	s := newStack(t, noRepro)
 	var receipts []*journal.Receipt
 	for i := 0; i < 20; i++ {
 		r, err := s.cli.Append([]byte(fmt.Sprintf("drain-%d", i)), "drain")

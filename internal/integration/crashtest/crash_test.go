@@ -65,12 +65,12 @@ func (h *harness) fatalf(format string, args ...interface{}) {
 
 func newHarness(t *testing.T, rng *rand.Rand, repro string) *harness {
 	h := &harness{
-		t:     t,
-		rng:   rng,
-		repro: repro,
-		clock: logicalclock.New(1_000_000),
-		lsp:   sig.GenerateDeterministic("crashtest/lsp"),
-		dba:   sig.GenerateDeterministic("crashtest/dba"),
+		t:      t,
+		rng:    rng,
+		repro:  repro,
+		clock:  logicalclock.New(1_000_000),
+		lsp:    sig.GenerateDeterministic("crashtest/lsp"),
+		dba:    sig.GenerateDeterministic("crashtest/dba"),
 		client: sig.GenerateDeterministic("crashtest/client"),
 		blobs:  streamfs.NewMemoryBlobs(),
 		disk:   faultfs.NewDisk(),

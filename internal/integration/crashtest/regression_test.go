@@ -3,9 +3,10 @@ package crashtest
 // Deterministic regression tests for the durability fixes, each built to
 // fail on the pre-fix code via a faultfs failpoint:
 //
-//   - TestSerialCommitDurability: the serial (non-pipelined) commit path
-//     must fsync at commit points. Before the fix it never synced, so a
-//     DropUnsynced crash erased the whole ledger including genesis.
+//   - TestSerialCommitDurability: one caller's appends, committed one at
+//     a time, must fsync at commit points. Before the fix the commit
+//     path never synced, so a DropUnsynced crash erased the whole ledger
+//     including genesis.
 //   - TestPurgeRollForwardAfterCrash: a purge whose decision (purge
 //     journal + pseudo genesis, synced) is durable but whose destructive
 //     half was interrupted must be rolled forward on reopen.
@@ -99,8 +100,9 @@ func (h *harness) auditRecovered(l2 *ledger.Ledger) error {
 	return err
 }
 
-// TestSerialCommitDurability: block cuts on the serial path are commit
-// points and must leave the image fully synced; a power failure right
+// TestSerialCommitDurability: block cuts reached by one caller's
+// sequential appends are commit points and must leave the image fully
+// synced; a power failure right
 // after the cut (volatile cache dropped) must preserve the block and
 // every journal it covers.
 func TestSerialCommitDurability(t *testing.T) {
@@ -113,7 +115,7 @@ func TestSerialCommitDurability(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	// Genesis (jsn 0) + three appends = BlockSize journals: the third
-	// append cuts block 0 automatically on the serial path.
+	// append cuts block 0 automatically.
 	for i := 0; i < 3; i++ {
 		h.nonce++
 		if err := h.appendFixed(fmt.Sprintf("serial-%d", i)); err != nil {
@@ -124,7 +126,7 @@ func TestSerialCommitDurability(t *testing.T) {
 		t.Fatalf("expected automatic block cut, height %d", h.l.Height())
 	}
 	if !h.disk.AllSynced() {
-		t.Fatalf("serial block cut is a commit point but left unsynced bytes on the image")
+		t.Fatalf("block cut is a commit point but left unsynced bytes on the image")
 	}
 	// One acknowledged-but-unsynced append beyond the commit point; it
 	// is allowed (not required) to vanish in the crash.

@@ -70,9 +70,9 @@ func TestValidateRejectsTamperedRequest(t *testing.T) {
 func TestValidateStructuralErrors(t *testing.T) {
 	kp := sig.GenerateDeterministic("c")
 	cases := []Request{
-		{Type: TypeNormal, Payload: []byte("x")},                                // no URI
-		{LedgerURI: "l", Payload: []byte("x")},                                  // no type
-		{LedgerURI: "l", Type: TypeNormal},                                      // no payload
+		{Type: TypeNormal, Payload: []byte("x")},                                      // no URI
+		{LedgerURI: "l", Payload: []byte("x")},                                        // no type
+		{LedgerURI: "l", Type: TypeNormal},                                            // no payload
 		{LedgerURI: "l", Type: TypeNormal, Payload: []byte("x"), Clues: []string{""}}, // empty clue
 	}
 	for i := range cases {

@@ -3,7 +3,6 @@ package ledger
 import (
 	"fmt"
 
-	"ledgerdb/internal/ca"
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/sig"
@@ -14,9 +13,9 @@ import (
 // LedgerDB throughput headline (§II-C: "its system throughput is
 // significantly higher (exceeding 300,000 TPS)"). Two costs dominate a
 // single Append: the client's π_c verification and the LSP's π_s
-// signature. A batch verifies all request signatures in parallel outside
-// the commit lock, commits the batch under one lock acquisition, and
-// signs ONE receipt covering every journal in the batch.
+// signature. A batch verifies all request signatures in parallel before
+// sequencing, rides the pipeline as one commit unit, and gets ONE
+// receipt covering every journal in the batch.
 
 // BatchReceipt is the LSP's signed acknowledgement of a contiguous batch
 // of journals: the jsn range plus a digest binding every tx-hash in
@@ -79,12 +78,12 @@ func (br *BatchReceipt) Verify(lsp sig.PublicKey, txHashes []hashutil.Digest) er
 	return nil
 }
 
-// AppendBatch validates and commits a batch of normal journals. Request
-// signatures (π_c plus co-signatures) are verified in parallel across
-// CPUs before the commit lock is taken; the whole batch then commits
-// under one lock acquisition, and one signed BatchReceipt covers it.
-// All-or-nothing: any invalid request rejects the entire batch before
-// anything is committed.
+// AppendBatch validates and commits a batch of normal journals. Stage 1
+// fans admission — request signatures (π_c plus co-signatures),
+// digesting, blob writes — across CPUs; the whole batch then rides the
+// pipeline as one commit unit, and the caller signs the one
+// BatchReceipt that covers it. All-or-nothing: any invalid request
+// rejects the entire batch before anything is sequenced.
 func (l *Ledger) AppendBatch(reqs []*journal.Request) (*BatchReceipt, []hashutil.Digest, error) {
 	if err := l.writable(); err != nil {
 		return nil, nil, err
@@ -92,96 +91,20 @@ func (l *Ledger) AppendBatch(reqs []*journal.Request) (*BatchReceipt, []hashutil
 	if len(reqs) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty batch", journal.ErrBadRequest)
 	}
-	if l.comm != nil {
-		// Pipelined mode: stage 1 fans admission (checks, digesting,
-		// blob writes) across CPUs, then the whole batch rides the
-		// pipeline as one unit and the caller signs the batch receipt.
-		adms, err := l.admitBatch(reqs)
-		if err != nil {
-			return nil, nil, err
-		}
-		unit, err := l.sequence(adms, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		<-unit.done
-		if unit.err != nil {
-			return nil, nil, unit.err
-		}
-		if err := unit.br.sign(l.cfg.LSP); err != nil {
-			return nil, nil, err
-		}
-		return unit.br, unit.txHashes, nil
-	}
-	// Synchronous mode: the historical two-phase path.
-	// Phase 1: validation, parallel and lock-free.
-	if err := l.validateBatch(reqs); err != nil {
+	adms, err := l.admitBatch(reqs)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Phase 2: commit under one lock acquisition.
-	l.lockExclusive()
-	defer l.unlockExclusive()
-	txHashes := make([]hashutil.Digest, 0, len(reqs))
-	first := l.nextJSN
-	ts := l.cfg.Clock()
-	for _, req := range reqs {
-		adm, err := l.admitChecked(req, nil, req.Hash())
-		if err != nil {
-			return nil, nil, err
-		}
-		rec := buildRecord(&adm, l.nextJSN, ts)
-		txHash := rec.TxHash()
-		if err := l.applyRecordLocked(rec, txHash); err != nil {
-			return nil, nil, err
-		}
-		txHashes = append(txHashes, txHash)
-	}
-	br := &BatchReceipt{
-		FirstJSN:  first,
-		Count:     uint64(len(reqs)),
-		BatchHash: BatchDigest(txHashes),
-		Timestamp: ts,
-	}
-	if err := br.sign(l.cfg.LSP); err != nil {
+	unit, err := l.sequence(adms, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	return br, txHashes, nil
-}
-
-// validateBatch runs structural checks and signature verification for
-// every request, fanned out across CPUs (π_c verification is the
-// dominant per-journal cost).
-func (l *Ledger) validateBatch(reqs []*journal.Request) error {
-	return forEachChunk(reqs, func(_ int, part []*journal.Request) error {
-		for _, req := range part {
-			if err := l.validateOne(req); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func (l *Ledger) validateOne(req *journal.Request) error {
-	if err := req.ValidateShape(); err != nil {
-		return err
+	<-unit.done
+	if unit.err != nil {
+		return nil, nil, unit.err
 	}
-	// One request-hash computation covers π_c and every co-signature
-	// (Validate followed by VerifyAllSigs used to verify π_c twice and
-	// hash the request three times).
-	if err := req.VerifyAllSigsAt(req.Hash()); err != nil {
-		return err
+	if err := unit.br.sign(l.cfg.LSP); err != nil {
+		return nil, nil, err
 	}
-	if req.LedgerURI != l.cfg.URI {
-		return fmt.Errorf("%w: request for %q on ledger %q", journal.ErrBadRequest, req.LedgerURI, l.cfg.URI)
-	}
-	if req.Type != journal.TypeNormal {
-		return fmt.Errorf("%w: batches carry only normal journals (got %s)", ErrNotPermitted, req.Type)
-	}
-	if l.cfg.Registry != nil {
-		if err := l.cfg.Registry.Check(req.ClientPK, ca.RoleUser); err != nil {
-			return fmt.Errorf("%w: %v", ErrNotPermitted, err)
-		}
-	}
-	return nil
+	return unit.br, unit.txHashes, nil
 }

@@ -16,8 +16,8 @@ import (
 
 // Hot-path benchmarks behind scripts/check.sh perf and the cmd/bench
 // hotpath experiment: the steady-state encode+digest cost of committing
-// a journal, full Append under the serial / pipelined / batch-verify
-// configurations, and zero-copy journal serving.
+// a journal, full pipelined Append under concurrent submitters, and
+// zero-copy journal serving.
 
 // benchRecord builds a representative committed record.
 func benchRecord(tb testing.TB) *journal.Record {
@@ -85,55 +85,10 @@ func benchSignedRequests(b *testing.B, e *testEnv, n int) []*journal.Request {
 	return reqs
 }
 
-func benchAppendEnv(b *testing.B, mutate func(*Config)) *testEnv {
-	b.Helper()
-	return newEnv(b, func(c *Config) {
-		c.BlockSize = 64
-		var clk atomic.Int64
-		c.Clock = func() int64 { return clk.Add(1) }
-		if mutate != nil {
-			mutate(c)
-		}
-	})
-}
-
-// BenchmarkAppendSerial is the synchronous baseline: one π_c verify, one
-// commit, one receipt per call.
-func BenchmarkAppendSerial(b *testing.B) {
-	e := benchAppendEnv(b, nil)
-	reqs := benchSignedRequests(b, e, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.ledger.Append(reqs[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAppendPipelined drives concurrent appenders through the
-// staged pipeline with admission-stage verification inline (VerifyBatch
-// 0) — the baseline the batch-verify variant must beat.
+// staged pipeline, π_c verified inline on each submitter's goroutine.
 func BenchmarkAppendPipelined(b *testing.B) {
-	benchAppendPipelined(b, 0)
-}
-
-// BenchmarkAppendBatchVerify sweeps the admission batch size: π_c
-// signatures are verified by the shared worker pool in group-sized
-// batches before sequencing.
-func BenchmarkAppendBatchVerify(b *testing.B) {
-	for _, batch := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			benchAppendPipelined(b, batch)
-		})
-	}
-}
-
-func benchAppendPipelined(b *testing.B, verifyBatch int) {
-	e := benchAppendEnv(b, func(c *Config) {
-		c.PipelineDepth = 64
-		c.VerifyBatch = verifyBatch
-	})
+	e := newEnv(b, func(c *Config) { c.BlockSize = 64 })
 	defer func() {
 		if err := e.ledger.Close(); err != nil {
 			b.Fatal(err)
@@ -144,7 +99,7 @@ func benchAppendPipelined(b *testing.B, verifyBatch int) {
 	b.ReportAllocs()
 	// Pipelining pays off when appenders queue: force many concurrent
 	// submitters per core so groups actually form (the default is one
-	// goroutine per core, which degenerates to the serial schedule).
+	// goroutine per core, which degenerates to one-record groups).
 	b.SetParallelism(32)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -158,10 +113,10 @@ func benchAppendPipelined(b *testing.B, verifyBatch int) {
 }
 
 // TestAppendAllocBudget is the allocs/op regression guard run by
-// `scripts/check.sh perf`: steady-state serial Append (pre-signed
-// requests, warm pools) must stay within the checked-in budget in
-// testdata/append_alloc_budget. The budget has headroom over the
-// measured value, so a failure means a real regression — a hot-path
+// `scripts/check.sh perf`: steady-state single-caller Append through the
+// pipeline (pre-signed requests, warm pools) must stay within the
+// checked-in budget in testdata/append_alloc_budget. The budget has
+// headroom over the measured value, so a failure means a real regression — a hot-path
 // allocation came back — not noise. Lower the budget when the paths
 // get leaner; never raise it to paper over a regression.
 func TestAppendAllocBudget(t *testing.T) {

@@ -16,7 +16,6 @@ package ledger
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -69,7 +68,10 @@ type Config struct {
 	// BlockSize is the number of journals per block. Zero means 128.
 	BlockSize int
 	// Clock supplies commit timestamps; nil means time.Now().UnixNano().
-	// Tests and the time-attack simulations inject logical clocks.
+	// It is called concurrently — by the sequencer, by block cuts on the
+	// committer goroutine, and by signed-state reads — so it must be safe
+	// for concurrent use. Tests and the time-attack simulations inject
+	// logical clocks.
 	Clock func() int64
 	// LSP signs receipts and states. Required.
 	LSP *sig.KeyPair
@@ -84,30 +86,11 @@ type Config struct {
 	Store streamfs.Store
 	// Blobs holds raw payloads. Required.
 	Blobs streamfs.BlobStore
-	// PipelineDepth selects the write-path mode. Zero (the default) is
-	// the synchronous path: each Append admits, sequences, and commits
-	// inline under the ledger lock — fully deterministic, what tests,
-	// recovery, and audit flows rely on. A positive value enables the
-	// staged commit pipeline (pipeline.go) with that many units of
-	// committer-queue backpressure; Close must be called to drain it.
+	// PipelineDepth bounds the staged commit pipeline (pipeline.go): how
+	// many sequenced units may wait for the committer before sequencing
+	// blocks, stalling admission. Zero means 256. Every ledger runs a
+	// committer goroutine; Close drains and stops it.
 	PipelineDepth int
-	// DisableStateCache forces every proof and State call to sign a
-	// fresh SignedState (the historical per-call behaviour). The default
-	// caches one signature per commit generation so concurrent reads
-	// amortize signing; this switch exists for benchmarks comparing the
-	// two and as an escape hatch.
-	DisableStateCache bool
-	// VerifyBatch enables admission-stage batch verification of client
-	// signatures in pipelined mode: up to VerifyBatch pending admissions
-	// are collected per window and their π_c/co-signer checks fanned out
-	// over a small worker pool (admitverify.go), amortizing ECDSA
-	// scheduling the way group commit amortizes π_s signing. Zero (the
-	// default) verifies inline on the submitting goroutine. Ignored when
-	// PipelineDepth is zero.
-	VerifyBatch int
-	// VerifyWorkers sizes the batch-verification worker pool. Zero means
-	// min(4, GOMAXPROCS). Ignored unless VerifyBatch is set.
-	VerifyWorkers int
 	// SyncEvery mirrors streamfs.DiskOptions.SyncEvery at the engine
 	// level: in addition to the commit points that always flush (genesis,
 	// block cuts, purge/occult decisions, time anchors — DESIGN.md §4.4),
@@ -139,10 +122,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.PrimaryLSP == (sig.PublicKey{}) {
 			return c, fmt.Errorf("%w: apply-only mode requires a pinned PrimaryLSP key", ErrBadConfig)
 		}
-		// A follower takes no client writes, so the staged pipeline has
-		// nothing to do; force the synchronous (recovery-shaped) path.
-		c.PipelineDepth = 0
-		c.VerifyBatch = 0
 	}
 	if c.Store == nil || c.Blobs == nil {
 		return c, fmt.Errorf("%w: nil store or blob store", ErrBadConfig)
@@ -152,6 +131,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = 128
+	}
+	if c.PipelineDepth <= 0 {
+		c.PipelineDepth = 256
 	}
 	if c.Clock == nil {
 		//lint:ignore L3 the Config.Clock default IS the injection point — replay and audit override it
@@ -189,19 +171,13 @@ type Ledger struct {
 	// Staged commit pipeline (pipeline.go). seqMu orders stage 2: jsn
 	// and timestamp assignment plus queue submission. seqNext is the
 	// next jsn to assign; it runs ahead of nextJSN by however many
-	// records sit in the committer queue. comm is nil in synchronous
-	// mode. failed (guarded by mu) latches a half-applied commit: the
-	// engine then refuses further writes rather than let the dense jsn
-	// space grow a hole.
+	// records sit in the committer queue. failed (guarded by mu) latches
+	// a half-applied commit: the engine then refuses further writes
+	// rather than let the dense jsn space grow a hole.
 	seqMu   sync.Mutex
 	seqNext uint64
 	comm    *committer
 	failed  error
-
-	// verif is the admission-stage batch signature verification pool
-	// (admitverify.go); nil unless Config.VerifyBatch is set in
-	// pipelined mode.
-	verif *verifier
 
 	// unsyncedApplied counts records applied since the last stream flush,
 	// driving Config.SyncEvery. Guarded by mu.
@@ -241,10 +217,10 @@ func Open(cfg Config) (*Ledger, error) {
 		return nil, err
 	}
 	l := &Ledger{
-		cfg:       cfg,
-		fam:       fam.MustNew(cfg.FractalHeight),
-		clues:     cmtree.New(),
-		state:     mpt.New(),
+		cfg:         cfg,
+		fam:         fam.MustNew(cfg.FractalHeight),
+		clues:       cmtree.New(),
+		state:       mpt.New(),
 		occulted:    make(map[uint64]bool),
 		payloadRefs: make(map[hashutil.Digest]int),
 		stateIndex:  make(map[string]stateIndexEntry),
@@ -286,23 +262,11 @@ func Open(cfg Config) (*Ledger, error) {
 		l.replica.seeding = true
 	}
 	l.seqNext = l.nextJSN
-	if cfg.PipelineDepth > 0 {
-		l.comm = &committer{
-			queue:   make(chan *commitUnit, cfg.PipelineDepth),
-			stopped: make(chan struct{}),
-		}
-		go l.runCommitter()
-		if cfg.VerifyBatch > 0 {
-			workers := cfg.VerifyWorkers
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-				if workers > 4 {
-					workers = 4
-				}
-			}
-			l.verif = newVerifier(cfg.VerifyBatch, workers)
-		}
+	l.comm = &committer{
+		queue:   make(chan *commitUnit, cfg.PipelineDepth),
+		stopped: make(chan struct{}),
 	}
+	go l.runCommitter()
 	return l, nil
 }
 
@@ -360,51 +324,33 @@ func (l *Ledger) Base() uint64 {
 
 // Append validates a signed client request (π_c and any co-signatures,
 // plus member certification when a registry is configured — the threat-A
-// check) and commits it, returning the LSP-signed receipt π_s. In
-// pipelined mode all of that admission work runs lock-free on the
-// caller's goroutine (stage 1), and the commit rides the staged
-// pipeline.
+// check) and commits it, returning the LSP-signed receipt π_s. All of
+// that admission work runs lock-free on the caller's goroutine (stage
+// 1); the commit rides the staged pipeline and the receipt arrives
+// group-signed by the committer.
 func (l *Ledger) Append(req *journal.Request) (*journal.Receipt, error) {
 	if err := l.writable(); err != nil {
 		return nil, err
 	}
-	if l.comm != nil {
-		adm, err := l.admitOne(req, false)
-		if err != nil {
-			return nil, err
-		}
-		return l.appendPipelined(adm)
-	}
-	// Synchronous mode: the historical write path.
-	if err := req.ValidateShape(); err != nil {
+	adm, err := l.admitOne(req, false)
+	if err != nil {
 		return nil, err
 	}
-	if err := req.VerifyAllSigsAt(req.Hash()); err != nil {
+	unit, err := l.sequence([]admitted{adm}, false)
+	if err != nil {
 		return nil, err
 	}
-	if req.LedgerURI != l.cfg.URI {
-		return nil, fmt.Errorf("%w: request for %q on ledger %q", journal.ErrBadRequest, req.LedgerURI, l.cfg.URI)
+	<-unit.done
+	if unit.err != nil {
+		return nil, unit.err
 	}
-	switch req.Type {
-	case journal.TypeNormal:
-	default:
-		return nil, fmt.Errorf("%w: clients may only append normal journals (got %s)", ErrNotPermitted, req.Type)
-	}
-	if l.cfg.Registry != nil {
-		if err := l.cfg.Registry.Check(req.ClientPK, ca.RoleUser); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNotPermitted, err)
-		}
-	}
-	l.lockExclusive()
-	defer l.unlockExclusive()
-	return l.appendLocked(req, nil)
+	return unit.receipt, nil
 }
 
-// appendLocked commits a request as the next journal, synchronously
-// under the apply lock (the serial path, and every privileged write —
-// genesis, mutations, time anchoring — which runs under lockExclusive).
-// extra carries type-specific payloads (mutation descriptors, time
-// attestations).
+// appendLocked commits a privileged request — genesis, a mutation, a
+// time anchor — as the next journal, synchronously under the apply lock
+// (lockExclusive, or plain mu while opening). extra carries
+// type-specific payloads (mutation descriptors, time attestations).
 func (l *Ledger) appendLocked(req *journal.Request, extra []byte) (*journal.Receipt, error) {
 	adm, err := l.admitChecked(req, extra, req.Hash())
 	if err != nil {
@@ -603,10 +549,9 @@ func (l *Ledger) State() (*SignedState, error) {
 }
 
 // stateLocked returns the LSP-signed state for the current commit
-// generation. Callers hold l.mu (read or write). Unless the cache is
-// disabled, one signature is produced per generation and shared by
-// every concurrent reader; a hit costs two mutex operations and no
-// crypto, no clock read.
+// generation. Callers hold l.mu (read or write). One signature is
+// produced per generation and shared by every concurrent reader; a hit
+// costs two mutex operations and no crypto, no clock read.
 func (l *Ledger) stateLocked() (*SignedState, error) {
 	if l.cfg.ApplyOnly {
 		// A follower cannot sign: it serves the primary's checkpoint, and
@@ -617,10 +562,8 @@ func (l *Ledger) stateLocked() (*SignedState, error) {
 		return l.replicaExactStateLocked()
 	}
 	gen := l.stateGen
-	if !l.cfg.DisableStateCache {
-		if st := l.stateSigs.get(gen); st != nil {
-			return st, nil
-		}
+	if st := l.stateSigs.get(gen); st != nil {
+		return st, nil
 	}
 	jroot, err := l.fam.Root()
 	if err != nil {
@@ -636,12 +579,6 @@ func (l *Ledger) stateLocked() (*SignedState, error) {
 		ClueCount:   cset.Count(),
 		ClueSetRoot: cset.Root(),
 		Timestamp:   l.cfg.Clock(),
-	}
-	if l.cfg.DisableStateCache {
-		if err := skel.sign(l.cfg.LSP); err != nil {
-			return nil, err
-		}
-		return &skel, nil
 	}
 	return l.stateSigs.signAndStore(gen, skel, l.cfg.LSP)
 }

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"ledgerdb/internal/ca"
@@ -14,15 +15,15 @@ import (
 
 // testEnv wires a ledger with deterministic keys and a logical clock.
 type testEnv struct {
-	ledger  *Ledger
-	lsp     *sig.KeyPair
-	dba     *sig.KeyPair
-	client  *sig.KeyPair
-	clock   int64
-	store   streamfs.Store
-	blobs   streamfs.BlobStore
-	cfg     Config
-	nonce   uint64
+	ledger *Ledger
+	lsp    *sig.KeyPair
+	dba    *sig.KeyPair
+	client *sig.KeyPair
+	clock  atomic.Int64
+	store  streamfs.Store
+	blobs  streamfs.BlobStore
+	cfg    Config
+	nonce  uint64
 }
 
 func newEnv(t testing.TB, mutate func(*Config)) *testEnv {
@@ -33,8 +34,8 @@ func newEnv(t testing.TB, mutate func(*Config)) *testEnv {
 		client: sig.GenerateDeterministic("client"),
 		store:  streamfs.NewMemory(),
 		blobs:  streamfs.NewMemoryBlobs(),
-		clock:  1000,
 	}
+	e.clock.Store(1000)
 	e.cfg = Config{
 		URI:           "ledger://test",
 		FractalHeight: 3,
@@ -43,10 +44,9 @@ func newEnv(t testing.TB, mutate func(*Config)) *testEnv {
 		DBA:           e.dba.Public(),
 		Store:         e.store,
 		Blobs:         e.blobs,
-		Clock: func() int64 {
-			e.clock++
-			return e.clock
-		},
+		// The sequencer, the committer and state reads call the clock
+		// concurrently.
+		Clock: func() int64 { return e.clock.Add(1) },
 	}
 	if mutate != nil {
 		mutate(&e.cfg)
@@ -56,6 +56,7 @@ func newEnv(t testing.TB, mutate func(*Config)) *testEnv {
 		t.Fatal(err)
 	}
 	e.ledger = l
+	t.Cleanup(func() { l.Close() })
 	return e
 }
 

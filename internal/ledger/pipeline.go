@@ -1,11 +1,11 @@
 package ledger
 
-// This file implements the staged commit pipeline (DESIGN.md §"Staged
-// commit pipeline"). The serial write path does everything — π_c
-// verification, payload hashing, blob I/O, fam/CM-Tree/MPT updates,
-// receipt signing — under one global lock, so added cores buy nothing
-// (the anti-pattern Fig. 7 of the paper measures against). With
-// Config.PipelineDepth > 0 the write path splits into three stages:
+// This file implements the staged commit pipeline (DESIGN.md §4.1), the
+// only client write path. Doing everything — π_c verification, payload
+// hashing, blob I/O, fam/CM-Tree/MPT updates, receipt signing — under
+// one global lock would leave added cores idle (the anti-pattern Fig. 7
+// of the paper measures against), so the write path splits into three
+// stages:
 //
 //	Stage 1 — admission (lock-free, concurrent): structural checks,
 //	  signature verification, role checks, request/payload digesting,
@@ -20,9 +20,10 @@ package ledger
 //	  the group's jsn-dense tx-hash run — receipt signing amortizes
 //	  across the group instead of costing one ECDSA sign per journal.
 //
-// The bounded queue provides backpressure: when the committer falls
-// behind, sequencing blocks, stalling admission rather than growing
-// memory. Close drains every sequenced unit and flushes the streams.
+// The bounded queue (Config.PipelineDepth) provides backpressure: when
+// the committer falls behind, sequencing blocks, stalling admission
+// rather than growing memory. Close drains every sequenced unit and
+// flushes the streams.
 
 import (
 	"fmt"
@@ -93,11 +94,11 @@ func buildRecord(adm *admitted, jsn uint64, ts int64) *journal.Record {
 	}
 }
 
-// admitChecked is the tail of stage 1, shared with the serial path:
-// digest the payload and store the payload blob. reqHash is the
-// request-hash the caller already computed for signature verification —
-// the hot path hashes each request exactly once. The request must
-// already have passed validation.
+// admitChecked is the tail of stage 1, shared with privileged writes
+// (appendLocked): digest the payload and store the payload blob.
+// reqHash is the request-hash the caller already computed for signature
+// verification — the hot path hashes each request exactly once. The
+// request must already have passed validation.
 func (l *Ledger) admitChecked(req *journal.Request, extra []byte, reqHash hashutil.Digest) (admitted, error) {
 	// A journal-stream record carries the payload digest, not the
 	// payload, so only oversized metadata can overflow a stream record.
@@ -130,7 +131,7 @@ func (l *Ledger) admitOne(req *journal.Request, batch bool) (admitted, error) {
 		return admitted{}, err
 	}
 	h := req.Hash()
-	if err := l.verifyAdmission(req, h); err != nil {
+	if err := req.VerifyAllSigsAt(h); err != nil {
 		return admitted{}, err
 	}
 	if req.LedgerURI != l.cfg.URI {
@@ -192,7 +193,7 @@ func (l *Ledger) sequence(adms []admitted, batch bool) (*commitUnit, error) {
 	}
 	var ts int64
 	if batch {
-		ts = l.cfg.Clock() // one commit timestamp per batch, as in the serial path
+		ts = l.cfg.Clock() // one commit timestamp per batch
 	}
 	for i := range adms {
 		t := ts
@@ -269,7 +270,7 @@ func (l *Ledger) applyGroup(group []*commitUnit) {
 	// One coalesced fsync pass for every commit point the group crossed.
 	// If it fails, every unit in the group is failed: their records may
 	// not be durable, so no receipt can be released (the submitter sees
-	// an ambiguous error, same as a crashed serial commit point).
+	// an ambiguous error, same as a crashed commit point).
 	if err := l.flushDeferredSyncLocked(); err != nil {
 		for _, u := range group {
 			if u.err == nil {
@@ -370,21 +371,6 @@ func (l *Ledger) applyUnitLocked(u *commitUnit) error {
 	return nil
 }
 
-// appendPipelined runs stages 2–3 for one admitted request and blocks
-// until its journal commits; the receipt arrives group-signed by the
-// committer.
-func (l *Ledger) appendPipelined(adm admitted) (*journal.Receipt, error) {
-	unit, err := l.sequence([]admitted{adm}, false)
-	if err != nil {
-		return nil, err
-	}
-	<-unit.done
-	if unit.err != nil {
-		return nil, unit.err
-	}
-	return unit.receipt, nil
-}
-
 // lockExclusive acquires the whole write path: it stops the sequencer,
 // waits for every in-flight unit to commit, and takes the apply lock.
 // Privileged writes (mutations, time anchoring, manual block cuts) run
@@ -392,11 +378,9 @@ func (l *Ledger) appendPipelined(adm admitted) (*journal.Receipt, error) {
 // dense jsn space.
 func (l *Ledger) lockExclusive() {
 	l.seqMu.Lock()
-	if l.comm != nil {
-		// No new units can be sequenced while seqMu is held, so this
-		// waits on a fixed set.
-		l.comm.wg.Wait()
-	}
+	// No new units can be sequenced while seqMu is held, so this waits
+	// on a fixed set.
+	l.comm.wg.Wait()
 	l.mu.Lock()
 }
 
@@ -408,28 +392,20 @@ func (l *Ledger) unlockExclusive() {
 	l.seqMu.Unlock()
 }
 
-// Close shuts the write path down. In pipelined mode it stops admitting
-// new writes (further Append/AppendBatch calls fail with ErrClosed),
-// drains every sequenced unit through the committer, and stops the
-// committer goroutine. In both modes it then flushes the ledger
-// streams. Reads and proofs keep working after Close.
+// Close shuts the write path down: it stops admitting new writes
+// (further Append/AppendBatch calls fail with ErrClosed), drains every
+// sequenced unit through the committer, stops the committer goroutine,
+// and flushes the ledger streams. Reads and proofs keep working after
+// Close, and Close is idempotent.
 func (l *Ledger) Close() error {
-	if l.comm != nil {
-		l.seqMu.Lock()
-		already := l.comm.closed
-		l.comm.closed = true
-		l.seqMu.Unlock()
-		if !already {
-			close(l.comm.queue)
-		}
-		<-l.comm.stopped
+	l.seqMu.Lock()
+	already := l.comm.closed
+	l.comm.closed = true
+	l.seqMu.Unlock()
+	if !already {
+		close(l.comm.queue)
 	}
-	if l.verif != nil {
-		// After the committer: in-flight admissions either finished
-		// verification already or fall back to inline verify and then
-		// fail at sequencing with ErrClosed.
-		l.verif.close()
-	}
+	<-l.comm.stopped
 	for _, s := range []streamfs.Stream{l.journals, l.digests, l.blocks, l.survival} {
 		if err := s.Sync(); err != nil {
 			return err

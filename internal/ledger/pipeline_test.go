@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ledgerdb/internal/hashutil"
@@ -14,9 +15,9 @@ import (
 	"ledgerdb/internal/wire"
 )
 
-// pipeEnv opens a pipelined ledger over fresh in-memory stores with a
-// constant clock, so committed records can be reconstructed exactly
-// from their requests.
+// pipeEnv opens a ledger with the given pipeline queue bound over fresh
+// in-memory stores with a constant clock, so committed records can be
+// reconstructed exactly from their requests.
 func pipeEnv(t *testing.T, depth int) (*Ledger, *sig.KeyPair, streamfs.Store, streamfs.BlobStore) {
 	t.Helper()
 	store := streamfs.NewMemory()
@@ -34,8 +35,9 @@ func pipeEnv(t *testing.T, depth int) (*Ledger, *sig.KeyPair, streamfs.Store, st
 		PipelineDepth: depth,
 	})
 	if err != nil {
-		t.Fatalf("open pipelined ledger: %v", err)
+		t.Fatalf("open ledger: %v", err)
 	}
+	t.Cleanup(func() { l.Close() })
 	return l, lsp, store, blobs
 }
 
@@ -59,8 +61,8 @@ func signedReq(t *testing.T, key *sig.KeyPair, g int, nonce uint64, stateKey []b
 // TestPipelineStress drives mixed Append/AppendBatch traffic (plus
 // concurrent manual block cuts) through the staged pipeline and then
 // checks the full set of ISSUE invariants: dense jsn assignment, every
-// receipt verifying, the fam root matching a serial replay of the same
-// requests, and recovery from the raw streams agreeing with the live
+// receipt verifying, the fam root matching a one-caller replay of the
+// same requests, and recovery from the raw streams agreeing with the live
 // engine.
 func TestPipelineStress(t *testing.T) {
 	const (
@@ -198,36 +200,38 @@ func TestPipelineStress(t *testing.T) {
 		t.Fatalf("state: %v", err)
 	}
 	if st.JournalRoot != shadowRoot {
-		t.Fatalf("fam root %s diverges from serial replay %s", st.JournalRoot.Short(), shadowRoot.Short())
+		t.Fatalf("fam root %s diverges from one-caller replay %s", st.JournalRoot.Short(), shadowRoot.Short())
 	}
 
-	// Serial replay through a fresh synchronous engine: the same
-	// requests in jsn order must land on the same jsns with the same
-	// tx-hashes (its genesis differs only by the LSP signature).
-	serial, err := Open(Config{
+	// One-caller replay through a fresh engine: the same requests
+	// appended one at a time in jsn order must land on the same jsns
+	// with the same tx-hashes (its genesis differs only by the LSP
+	// signature).
+	replay, err := Open(Config{
 		URI:           "ledger://pipe",
 		FractalHeight: 8,
 		BlockSize:     16,
 		Clock:         func() int64 { return 42 },
-		LSP:           sig.GenerateDeterministic("pipe/lsp-serial"),
+		LSP:           sig.GenerateDeterministic("pipe/lsp-replay"),
 		DBA:           sig.GenerateDeterministic("pipe/dba").Public(),
 		Store:         streamfs.NewMemory(),
 		Blobs:         streamfs.NewMemoryBlobs(),
 	})
 	if err != nil {
-		t.Fatalf("open serial ledger: %v", err)
+		t.Fatalf("open replay ledger: %v", err)
 	}
+	defer replay.Close()
 	for jsn := uint64(1); jsn < total; jsn++ {
-		receipt, err := serial.Append(byJS[jsn])
+		receipt, err := replay.Append(byJS[jsn])
 		if err != nil {
-			t.Fatalf("serial replay %d: %v", jsn, err)
+			t.Fatalf("one-caller replay %d: %v", jsn, err)
 		}
 		if receipt.JSN != jsn {
-			t.Fatalf("serial replay assigned jsn %d, want %d", receipt.JSN, jsn)
+			t.Fatalf("one-caller replay assigned jsn %d, want %d", receipt.JSN, jsn)
 		}
 		want, _ := l.TxHash(jsn)
 		if receipt.TxHash != want {
-			t.Fatalf("serial replay tx-hash diverges at jsn %d", jsn)
+			t.Fatalf("one-caller replay tx-hash diverges at jsn %d", jsn)
 		}
 	}
 
@@ -257,6 +261,7 @@ func TestPipelineStress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	defer re.Close()
 	if re.Size() != total {
 		t.Fatalf("recovered size %d, want %d", re.Size(), total)
 	}
@@ -440,5 +445,125 @@ func TestPipelineMutationsInterleave(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestBatchVerifyAdmissionInterleavedBadSigs hammers admission from many
+// goroutines with valid and tampered requests interleaved, asserting
+// rejects are surgical: every bad request fails with ErrBadSignature,
+// every good one commits with a verifying receipt, and no good request
+// is dragged down by sharing a commit group with a bad one.
+func TestBatchVerifyAdmissionInterleavedBadSigs(t *testing.T) {
+	e := newEnv(t, nil)
+
+	const (
+		goroutines = 8
+		perG       = 30
+	)
+	var nonce atomic.Uint64
+	makeReq := func(g, i int, bad bool) *journal.Request {
+		req := &journal.Request{
+			LedgerURI: "ledger://test",
+			Type:      journal.TypeNormal,
+			Payload:   []byte(fmt.Sprintf("bv-%d-%d", g, i)),
+			Nonce:     nonce.Add(1),
+		}
+		if err := req.Sign(e.client); err != nil {
+			t.Error(err)
+		}
+		if bad {
+			// Tamper after signing: shape stays valid, π_c does not.
+			req.Payload = append([]byte(nil), req.Payload...)
+			req.Payload[0] ^= 0xFF
+		}
+		return req
+	}
+
+	type outcome struct {
+		bad     bool
+		receipt *journal.Receipt
+		err     error
+	}
+	results := make([][]outcome, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		results[g] = make([]outcome, perG)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				bad := (g+i)%3 == 0
+				rc, err := e.ledger.Append(makeReq(g, i, bad))
+				results[g][i] = outcome{bad: bad, receipt: rc, err: err}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	goodCommitted := 0
+	for g := range results {
+		for i, out := range results[g] {
+			if out.bad {
+				if !errors.Is(out.err, journal.ErrBadSignature) {
+					t.Fatalf("goroutine %d req %d: tampered request got err=%v, want ErrBadSignature", g, i, out.err)
+				}
+				continue
+			}
+			if out.err != nil {
+				t.Fatalf("goroutine %d req %d: valid request rejected: %v", g, i, out.err)
+			}
+			if err := out.receipt.Verify(e.lsp.Public()); err != nil {
+				t.Fatalf("goroutine %d req %d: receipt does not verify: %v", g, i, err)
+			}
+			goodCommitted++
+		}
+	}
+	if got := e.ledger.Size(); got != uint64(goodCommitted)+1 {
+		t.Fatalf("ledger size = %d, want %d good + 1 genesis", got, goodCommitted)
+	}
+}
+
+// TestBatchVerifyCloseDuringInflight races Close against in-flight
+// appends: every submitter must get a definitive answer (a verifying
+// receipt or ErrClosed), never a hang, and a second Close after the
+// drain must succeed.
+func TestBatchVerifyCloseDuringInflight(t *testing.T) {
+	for iter := 0; iter < 5; iter++ {
+		e := newEnv(t, func(c *Config) { c.PipelineDepth = 4 })
+		var wg sync.WaitGroup
+		var nonce atomic.Uint64
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					req := &journal.Request{
+						LedgerURI: "ledger://test",
+						Type:      journal.TypeNormal,
+						Payload:   []byte(fmt.Sprintf("close-race-%d-%d-%d", iter, g, i)),
+						Nonce:     nonce.Add(1),
+					}
+					if err := req.Sign(e.client); err != nil {
+						t.Error(err)
+						return
+					}
+					rc, err := e.ledger.Append(req)
+					if err == nil {
+						if verr := rc.Verify(e.lsp.Public()); verr != nil {
+							t.Errorf("receipt does not verify: %v", verr)
+						}
+					} else if !errors.Is(err, ErrClosed) {
+						t.Errorf("append err = %v, want nil or ErrClosed", err)
+					}
+				}
+			}(g)
+		}
+		if err := e.ledger.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if err := e.ledger.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

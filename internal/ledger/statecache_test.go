@@ -31,29 +31,6 @@ func TestStateCacheSharesSignature(t *testing.T) {
 	}
 }
 
-// TestStateCacheDisabled: the escape hatch restores per-call signing —
-// every read produces a distinct, freshly timestamped state.
-func TestStateCacheDisabled(t *testing.T) {
-	e := newEnv(t, func(c *Config) { c.DisableStateCache = true })
-	e.append(t, "doc-1")
-	st1, err := e.ledger.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := e.ledger.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1 == st2 || st2.Timestamp <= st1.Timestamp {
-		t.Fatalf("expected per-call signing, got timestamps %d, %d", st1.Timestamp, st2.Timestamp)
-	}
-	for _, st := range []*SignedState{st1, st2} {
-		if err := st.Verify(e.lsp.Public()); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestStateCacheInvalidatesOnMutations is the tamper-then-prove
 // regression: after every kind of mutation the very next proof must be
 // built against a freshly signed state reflecting the new roots — a

@@ -41,14 +41,14 @@ func (s *syncCountingStream) Sync() error {
 // runBatchCountingSyncs opens a ledger over a counting store, appends one
 // AppendBatch of exactly blocks×BlockSize records, and returns how many
 // Stream.Sync calls the batch itself cost (genesis excluded).
-func runBatchCountingSyncs(t *testing.T, pipelined bool, blocks int) int64 {
+func runBatchCountingSyncs(t *testing.T, blocks int) int64 {
 	t.Helper()
 	const blockSize = 4
 	store := &syncCountingStore{inner: streamfs.NewMemory()}
 	lsp := sig.GenerateDeterministic("lsp")
 	client := sig.GenerateDeterministic("client")
 	var clk atomic.Int64
-	cfg := Config{
+	l, err := Open(Config{
 		URI:           "ledger://sync-count",
 		FractalHeight: 3,
 		BlockSize:     blockSize,
@@ -57,11 +57,7 @@ func runBatchCountingSyncs(t *testing.T, pipelined bool, blocks int) int64 {
 		Store:         store,
 		Blobs:         streamfs.NewMemoryBlobs(),
 		Clock:         func() int64 { return clk.Add(1) },
-	}
-	if pipelined {
-		cfg.PipelineDepth = 8
-	}
-	l, err := Open(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +89,13 @@ func runBatchCountingSyncs(t *testing.T, pipelined bool, blocks int) int64 {
 // TestGroupFsyncCoalescing proves the coalesced sync schedule: a batch
 // spanning 4 block cuts is one commit unit, hence one pipeline group,
 // hence exactly ONE commit-order sync pass (4 stream Syncs) instead of
-// the serial path's one pass per cut (16). The batch is deterministic —
-// a single commitUnit is always drained as a single group — so exact
-// counts, not inequalities, are asserted.
+// one pass per cut (16). The batch is deterministic — a single
+// commitUnit is always drained as a single group — so an exact count,
+// not an inequality, is asserted.
 func TestGroupFsyncCoalescing(t *testing.T) {
 	const blocks = 4
-	serial := runBatchCountingSyncs(t, false, blocks)
-	pipelined := runBatchCountingSyncs(t, true, blocks)
-
-	// Serial: each of the 4 cuts syncs survival→journals→digests→blocks.
-	if want := int64(blocks * 4); serial != want {
-		t.Fatalf("serial batch across %d cuts: %d stream syncs, want %d", blocks, serial, want)
-	}
-	// Pipelined: the whole group defers to one commit-order pass.
-	if want := int64(4); pipelined != want {
-		t.Fatalf("pipelined batch across %d cuts: %d stream syncs, want %d (one coalesced pass)", blocks, pipelined, want)
+	if got, want := runBatchCountingSyncs(t, blocks), int64(4); got != want {
+		t.Fatalf("batch across %d cuts: %d stream syncs, want %d (one coalesced pass)", blocks, got, want)
 	}
 }
 
@@ -124,7 +112,6 @@ func TestCoalescedSyncStillCoversSyncEvery(t *testing.T) {
 		FractalHeight: 3,
 		BlockSize:     1024, // no block cut in this test
 		SyncEvery:     2,
-		PipelineDepth: 8,
 		LSP:           lsp,
 		DBA:           sig.GenerateDeterministic("dba").Public(),
 		Store:         store,

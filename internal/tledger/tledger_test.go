@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"ledgerdb/internal/hashutil"
-	"ledgerdb/internal/sig"
 	"ledgerdb/internal/logicalclock"
+	"ledgerdb/internal/sig"
 	"ledgerdb/internal/tsa"
 )
 
@@ -274,9 +274,9 @@ func TestPublicViewVerifies(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	pool := tsa.NewPool(tsa.New("x", tsa.Options{Clock: func() int64 { return 0 }}))
 	cases := []Config{
-		{Tolerance: 1, TSA: pool},                                  // nil clock
-		{Clock: func() int64 { return 0 }, TSA: pool},              // no tolerance
-		{Clock: func() int64 { return 0 }, Tolerance: 1},           // nil TSA
+		{Tolerance: 1, TSA: pool},                        // nil clock
+		{Clock: func() int64 { return 0 }, TSA: pool},    // no tolerance
+		{Clock: func() int64 { return 0 }, Tolerance: 1}, // nil TSA
 	}
 	for i, c := range cases {
 		if _, err := New(c); err == nil {

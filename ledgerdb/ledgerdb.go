@@ -178,10 +178,6 @@ type StackOptions struct {
 	DeltaTau time.Duration
 	// Clock overrides wall time (tests, deterministic demos).
 	Clock func() int64
-	// PipelineDepth enables the staged commit pipeline with that many
-	// units of committer-queue backpressure (0 = synchronous commits).
-	// Pipelined stacks must call Close to drain the pipeline.
-	PipelineDepth int
 	// Disk tunes the on-disk stream store when Dir is set (segment
 	// capacity, per-stream fsync cadence, injected file systems for
 	// crash tests). Ignored for in-memory stacks.
@@ -375,7 +371,6 @@ func (w shardWiring) buildShardLedger(i, total int) (*ledger.Ledger, error) {
 		DBA:           w.dba,
 		Store:         store,
 		Blobs:         blobs,
-		PipelineDepth: w.opts.PipelineDepth,
 		SyncEvery:     w.opts.SyncEvery,
 	})
 }

@@ -6,7 +6,7 @@
 # Stages are individually invocable:
 #
 #   scripts/check.sh          # everything (same as `all`)
-#   scripts/check.sh lint     # build + vet + verlint only
+#   scripts/check.sh lint     # build + gofmt + vet + verlint only
 #   scripts/check.sh fuzz     # 10s native fuzz smoke per wire decoder
 #   scripts/check.sh race     # the -race suites only
 #   scripts/check.sh crash    # crash-recovery torture (1000 crash points)
@@ -14,8 +14,13 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
+#   scripts/check.sh bench    # pipeline, audit and proof bench smoke
 #   scripts/check.sh perf     # hot-path bench smoke + allocs/op regression guards
 #   scripts/check.sh all      # everything
+#
+# Several stages run in order when named together:
+#
+#   scripts/check.sh lint race crash
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +30,14 @@ stage_build() {
 }
 
 stage_lint() {
+    echo "== gofmt =="
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+        echo "not gofmt-clean:" >&2
+        echo "$unformatted" >&2
+        return 1
+    fi
+
     echo "== vet =="
     go vet ./...
 
@@ -126,20 +139,37 @@ stage_replica() {
     go test -run xxx -fuzz FuzzDecodeProofBundle -fuzztime 10s ./internal/ledger > /dev/null
 }
 
+# bench_smoke PATTERN BENCHTIME PKG... runs the benchmarks matching
+# PATTERN once at BENCHTIME and fails unless every |-separated
+# alternative of PATTERN ran at least one benchmark, so a filter naming a
+# deleted benchmark cannot pass silently.
+bench_smoke() {
+    local pattern=$1 benchtime=$2 out alt
+    shift 2
+    out=$(go test -run xxx -bench "$pattern" -benchtime "$benchtime" "$@")
+    IFS='|' read -ra alts <<< "$pattern"
+    for alt in "${alts[@]}"; do
+        if ! grep -q "^$alt" <<< "$out"; then
+            echo "bench filter '$alt' ran no benchmark in $*" >&2
+            return 1
+        fi
+    done
+    echo "ran $(grep -c '^Benchmark' <<< "$out") benchmarks for '$pattern'"
+}
+
 stage_bench() {
     echo "== pipeline bench smoke =="
-    go test -run xxx -bench BenchmarkAppendSerialVsPipelined -benchtime 1x . > /dev/null
+    bench_smoke BenchmarkAppendParallelism 1x .
 
     echo "== audit/proof bench smoke =="
-    go test -run xxx -bench BenchmarkAudit -benchtime 1x ./internal/audit > /dev/null
-    go test -run xxx -bench 'BenchmarkProveExistence|BenchmarkExistenceBatch' -benchtime 1x ./internal/ledger > /dev/null
+    bench_smoke BenchmarkAudit 1x ./internal/audit
+    bench_smoke 'BenchmarkProveExistence|BenchmarkExistenceBatch' 1x ./internal/ledger
 }
 
 stage_perf() {
     echo "== hot-path bench smoke =="
-    go test -run xxx -bench 'BenchmarkHotPathEncodeDigest|BenchmarkAppendSerial$|BenchmarkAppendPipelined|BenchmarkAppendBatchVerify|BenchmarkGetJournalZeroCopy' \
-        -benchtime 10x ./internal/ledger > /dev/null
-    go test -run xxx -bench 'BenchmarkReadBuf|BenchmarkPooledWriter' -benchtime 10x ./internal/streamfs ./internal/wire > /dev/null 2>&1 || true
+    bench_smoke 'BenchmarkHotPathEncodeDigest|BenchmarkAppendPipelined|BenchmarkGetJournalZeroCopy' 10x ./internal/ledger
+    bench_smoke 'BenchmarkAppendMemory|BenchmarkAppendDisk|BenchmarkReadDisk|BenchmarkBlobPutGet' 10x ./internal/streamfs
 
     echo "== allocs/op regression guards (encode+digest must be 0; Append within checked-in budget) =="
     go test -run 'TestEncodeDigestZeroAlloc|TestAppendAllocBudget' -count 1 -v ./internal/ledger | grep -E 'allocs/op|PASS|FAIL|ok '
@@ -196,19 +226,27 @@ stage_all() {
     echo "ALL CHECKS PASSED"
 }
 
-case "${1:-all}" in
-    lint) stage_build; stage_lint ;;
-    fuzz) stage_fuzz ;;
-    race) stage_race ;;
-    crash) stage_crash ;;
-    chaos) stage_chaos ;;
-    shard) stage_shard ;;
-    query) stage_query ;;
-    replica) stage_replica ;;
-    perf) stage_perf ;;
-    all) stage_all ;;
-    *)
-        echo "usage: $0 [lint|fuzz|race|crash|chaos|shard|query|replica|perf|all]" >&2
-        exit 2
-        ;;
-esac
+run_stage() {
+    case "$1" in
+        lint) stage_build; stage_lint ;;
+        fuzz) stage_fuzz ;;
+        race) stage_race ;;
+        crash) stage_crash ;;
+        chaos) stage_chaos ;;
+        shard) stage_shard ;;
+        query) stage_query ;;
+        replica) stage_replica ;;
+        bench) stage_bench ;;
+        perf) stage_perf ;;
+        all) stage_all ;;
+        *)
+            echo "usage: $0 [lint|fuzz|race|crash|chaos|shard|query|replica|bench|perf|all]..." >&2
+            exit 2
+            ;;
+    esac
+}
+
+[ $# -gt 0 ] || set -- all
+for stage in "$@"; do
+    run_stage "$stage"
+done
