@@ -532,30 +532,55 @@ func (c *Client) GetPayload(jsn uint64) ([]byte, error) {
 	return rep.blob(rep.env.Payload, "payload")
 }
 
+// verifiedRead is the one single-record proof read: fetch the proof,
+// decode it, verify it, and bind the verified record to the requested
+// jsn. A response failing any step — a valid proof for a different
+// journal included — is a TamperError naming the step; what names the
+// proof in that evidence.
+func verifiedRead[P any](c *Client, method, path string, body any, what string, jsn uint64,
+	decode func([]byte) (P, error), verify func(P) (*journal.Record, error)) (P, *journal.Record, error) {
+	var zero P
+	rep, err := c.call(method, path, body)
+	if err != nil {
+		return zero, nil, err
+	}
+	raw, err := rep.blob(rep.env.Proof, what)
+	if err != nil {
+		return zero, nil, err
+	}
+	p, err := decode(raw)
+	if err != nil {
+		return zero, nil, rep.tamper(what+" decode", err)
+	}
+	rec, err := verify(p)
+	if err != nil {
+		return zero, nil, rep.tamper(what+" verification", err)
+	}
+	if rec.JSN != jsn {
+		return zero, nil, rep.tamper(what+" jsn binding",
+			fmt.Errorf("%w: proof is for jsn %d, want %d", ledger.ErrVerify, rec.JSN, jsn))
+	}
+	return p, rec, nil
+}
+
+// payloadPath appends the payload query to a proof path when asked.
+func payloadPath(path string, withPayload bool) string {
+	if withPayload {
+		return path + "?payload=1"
+	}
+	return path
+}
+
 // VerifyExistence runs the full client-side what(+who) verification for
 // one journal: fetch the proof bundle and validate every layer locally.
 func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record, []byte, error) {
-	path := fmt.Sprintf("/v1/proof/%d", jsn)
-	if withPayload {
-		path += "?payload=1"
-	}
-	rep, err := c.call("GET", path, nil)
+	p, rec, err := verifiedRead(c, "GET", payloadPath(fmt.Sprintf("/v1/proof/%d", jsn), withPayload), nil,
+		"existence proof", jsn, ledger.DecodeExistenceProof,
+		func(p *ledger.ExistenceProof) (*journal.Record, error) { return ledger.VerifyExistence(p, c.LSP) })
 	if err != nil {
 		return nil, nil, err
 	}
-	raw, err := rep.blob(rep.env.Proof, "proof")
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, err := ledger.DecodeExistenceProof(raw)
-	if err != nil {
-		return nil, nil, rep.tamper("existence proof decode", err)
-	}
-	rec, err := ledger.VerifyExistence(proof, c.LSP)
-	if err != nil {
-		return nil, nil, rep.tamper("existence proof verification", err)
-	}
-	return rec, proof.Payload, nil
+	return rec, p.Payload, nil
 }
 
 // VerifyExistenceBatch fetches one batched proof for jsns and runs the
@@ -622,31 +647,18 @@ func (c *Client) FetchAnchor() (*fam.Anchor, error) {
 // so sealed-epoch journals cost O(δ) instead of a full merged-leaf
 // chain.
 func (c *Client) VerifyExistenceAnchored(jsn uint64, anchor *fam.Anchor, withPayload bool) (*journal.Record, []byte, error) {
-	path := fmt.Sprintf("/v1/proof-anchored/%d", jsn)
-	if withPayload {
-		path += "?payload=1"
-	}
 	wr := wire.NewWriter(256)
 	anchor.Encode(wr)
-	rep, err := c.call("POST", path, map[string]string{
-		"anchor": base64.StdEncoding.EncodeToString(wr.Bytes()),
-	})
+	body := map[string]string{"anchor": base64.StdEncoding.EncodeToString(wr.Bytes())}
+	p, rec, err := verifiedRead(c, "POST", payloadPath(fmt.Sprintf("/v1/proof-anchored/%d", jsn), withPayload), body,
+		"anchored proof", jsn, ledger.DecodeExistenceProof,
+		func(p *ledger.ExistenceProof) (*journal.Record, error) {
+			return ledger.VerifyExistenceAnchored(p, c.LSP, anchor)
+		})
 	if err != nil {
 		return nil, nil, err
 	}
-	raw, err := rep.blob(rep.env.Proof, "anchored proof")
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, err := ledger.DecodeExistenceProof(raw)
-	if err != nil {
-		return nil, nil, rep.tamper("anchored proof decode", err)
-	}
-	rec, err := ledger.VerifyExistenceAnchored(proof, c.LSP, anchor)
-	if err != nil {
-		return nil, nil, rep.tamper("anchored proof verification", err)
-	}
-	return rec, proof.Payload, nil
+	return rec, p.Payload, nil
 }
 
 // ClueJSNs lists a clue's journal sequence numbers.
@@ -791,29 +803,17 @@ func (c *Client) StateCtx(ctx context.Context) (*ledger.SignedState, error) {
 }
 
 // FetchBundle downloads a self-contained offline proof bundle for one
-// journal and verifies it against the pinned LSP key before returning
-// it (no TSA pin at this layer — the offline verifier applies its own).
+// journal and verifies it against the pinned LSP key, and that it proves
+// the requested jsn, before returning it (no TSA pin at this layer — the
+// offline verifier applies its own).
 func (c *Client) FetchBundle(jsn uint64, withPayload bool) (*ledger.ProofBundle, error) {
-	path := fmt.Sprintf("/v1/bundle/%d", jsn)
-	if withPayload {
-		path += "?payload=1"
-	}
-	rep, err := c.call("GET", path, nil)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := rep.blob(rep.env.Proof, "bundle")
-	if err != nil {
-		return nil, err
-	}
-	b, err := ledger.DecodeProofBundle(raw)
-	if err != nil {
-		return nil, rep.tamper("bundle decode", err)
-	}
-	if _, _, err := ledger.VerifyBundle(b, c.LSP, nil); err != nil {
-		return nil, rep.tamper("bundle verification", err)
-	}
-	return b, nil
+	b, _, err := verifiedRead(c, "GET", payloadPath(fmt.Sprintf("/v1/bundle/%d", jsn), withPayload), nil,
+		"bundle", jsn, ledger.DecodeProofBundle,
+		func(b *ledger.ProofBundle) (*journal.Record, error) {
+			rec, _, err := ledger.VerifyBundle(b, c.LSP, nil)
+			return rec, err
+		})
+	return b, err
 }
 
 // Health reads the service's /healthz watermark fields: the applied

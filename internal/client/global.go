@@ -228,30 +228,17 @@ func (c *Client) GlobalState() (*shard.GlobalState, error) {
 // Coordinator key is trusted — the shard's own signed state never
 // enters the check.
 func (c *Client) VerifyExistenceGlobal(shardIdx int, jsn uint64, withPayload bool) (*journal.Record, []byte, error) {
-	path := fmt.Sprintf("/v1/proof-global/%d/%d", shardIdx, jsn)
-	if withPayload {
-		path += "?payload=1"
-	}
-	rep, err := c.call("GET", path, nil)
+	p, rec, err := verifiedRead(c, "GET", payloadPath(fmt.Sprintf("/v1/proof-global/%d/%d", shardIdx, jsn), withPayload), nil,
+		"global proof", jsn, shard.DecodeGlobalProof,
+		func(p *shard.GlobalProof) (*journal.Record, error) {
+			rec, err := shard.VerifyGlobal(p, c.Coordinator)
+			if err == nil && int(p.Head.Shard) != shardIdx {
+				err = fmt.Errorf("%w: proof is for shard %d, want %d", ledger.ErrVerify, p.Head.Shard, shardIdx)
+			}
+			return rec, err
+		})
 	if err != nil {
 		return nil, nil, err
-	}
-	raw, err := rep.blob(rep.env.Proof, "global proof")
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := shard.DecodeGlobalProof(raw)
-	if err != nil {
-		return nil, nil, rep.tamper("global proof decode", err)
-	}
-	rec, err := shard.VerifyGlobal(p, c.Coordinator)
-	if err != nil {
-		return nil, nil, rep.tamper("global proof verification", err)
-	}
-	if rec.JSN != jsn || int(p.Head.Shard) != shardIdx {
-		return nil, nil, rep.tamper("global proof binding",
-			fmt.Errorf("%w: proof is for shard %d jsn %d, want shard %d jsn %d",
-				ledger.ErrVerify, p.Head.Shard, rec.JSN, shardIdx, jsn))
 	}
 	return rec, p.Record.Payload, nil
 }

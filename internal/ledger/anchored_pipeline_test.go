@@ -12,7 +12,7 @@ import (
 
 // TestAnchoredProofsUnderPipelinedAppends races anchored existence
 // proofs against pipelined append traffic. The regression it guards:
-// proveExistence must take the fam path and the signed state from ONE
+// snapshotProofs must take the fam path and the signed state from ONE
 // read-lock section — with two separate sections an append can slide in
 // between, leaving a path built against an older accumulator paired
 // with a newer signed root (or vice versa), and verification fails

@@ -33,11 +33,9 @@ const maxBundleBytes = 1 << 26
 // wall-clock instant. Together they bound the record's commit time from
 // above without trusting the LSP's clock (Protocol 3's when factor).
 type ProofBundle struct {
-	URI         string
-	RecordBytes []byte
-	Payload     []byte // optional; nil for occulted or digest-only bundles
-	Fam         *fam.Proof
-	State       *SignedState
+	URI string
+	RecordProof
+	State *SignedState
 
 	// Optional when-chain (all three present or all three nil).
 	TimeRecordBytes []byte
@@ -45,96 +43,58 @@ type ProofBundle struct {
 	TimeProof       *fam.Proof
 }
 
-// ExportBundle builds an offline bundle for jsn. On a primary it
-// anchors to a freshly signed live state; on a follower it anchors to
-// the newest primary-signed checkpoint (the record must be covered by
-// it). The time chain is attached when a time journal exists between
-// the record and the anchoring state; bundles without one still prove
-// existence, just not commit-time.
+// ExportBundle builds an offline bundle for jsn through the same prover
+// as ProveExistence: on a primary it anchors to the live signed state,
+// on a follower to the newest primary-signed checkpoint (the record must
+// be covered by it). The time chain is attached when a time journal
+// exists between the record and the anchoring state; bundles without one
+// still prove existence, just not commit-time.
 func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error) {
-	l.mu.RLock()
-	if jsn >= l.nextJSN {
-		l.mu.RUnlock()
-		return nil, fmt.Errorf("%w: jsn %d of %d", ErrNotFound, jsn, l.nextJSN)
-	}
-	if jsn < l.base {
-		l.mu.RUnlock()
-		return nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
-	}
-	var st *SignedState
-	var err error
-	if l.cfg.ApplyOnly {
-		st, err = l.replicaAnyStateLocked()
-		if err == nil && jsn >= st.JSN {
-			err = fmt.Errorf("%w: jsn %d not covered by checkpoint at %d", ErrStaleCheckpoint, jsn, st.JSN)
-		}
-	} else {
-		st, err = l.stateLocked()
-	}
+	ps, st, err := l.proveRecords([]uint64{jsn}, 0, nil, withPayload)
 	if err != nil {
-		l.mu.RUnlock()
 		return nil, err
 	}
-	b := &ProofBundle{URI: l.cfg.URI, State: st}
-	if b.Fam, err = l.fam.ProveAt(jsn, st.JSN); err != nil {
-		l.mu.RUnlock()
-		return nil, err
-	}
+	b := &ProofBundle{URI: l.cfg.URI, RecordProof: ps[0], State: st}
 	// The earliest time journal after the record gives the tightest
-	// upper bound on its commit time. Scan is bounded by the live
-	// prefix; bundles are an export-time operation, not a hot path.
+	// upper bound on its commit time. The scan is bounded by the
+	// anchoring state and reads committed, immutable records, so it
+	// runs off the lock; bundles are an export-time operation, not a
+	// hot path.
 	var timeJSN uint64
-	var timeRaw []byte
-	scanErr := l.journals.Iterate(jsn+1, func(tj uint64, raw []byte) error {
+	err = l.journals.Iterate(jsn+1, func(tj uint64, raw []byte) error {
 		if tj >= st.JSN {
 			return errStopIterate
 		}
-		rec, derr := journal.DecodeRecord(raw)
-		if derr != nil {
-			return derr
+		rec, err := journal.DecodeRecord(raw)
+		if err != nil {
+			return err
 		}
-		if rec.Type != journal.TypeTime {
-			return nil
+		if rec.Type == journal.TypeTime {
+			timeJSN, b.TimeRecordBytes = tj, append([]byte(nil), raw...)
+			return errStopIterate
 		}
-		timeJSN = tj
-		timeRaw = append([]byte(nil), raw...)
-		return errStopIterate
+		return nil
 	})
-	if scanErr != nil && scanErr != errStopIterate {
-		l.mu.RUnlock()
-		return nil, scanErr
+	if err != nil && err != errStopIterate {
+		return nil, l.mapJournalReadErr(jsn+1, err)
 	}
-	if timeRaw != nil {
-		b.TimeRecordBytes = timeRaw
-		if b.TimeFam, err = l.fam.ProveAt(timeJSN, st.JSN); err != nil {
-			l.mu.RUnlock()
-			return nil, err
-		}
-		// The attestation's digest is the fam root over [0, timeJSN) —
-		// AnchorTimeWith holds the commit lock across the pegging round,
-		// so the root at size timeJSN is exactly what the TSA signed.
-		if b.TimeProof, err = l.fam.ProveAt(jsn, timeJSN); err != nil {
-			l.mu.RUnlock()
-			return nil, err
-		}
+	if b.TimeRecordBytes == nil {
+		return b, nil
 	}
-	occ := l.occulted[jsn]
-	l.mu.RUnlock()
-
-	raw, err := l.readJournalBytes(jsn)
+	// Both paths end at fixed past sizes, so they are the same whatever
+	// commits after the snapshot above. The attestation's digest is the
+	// fam root over [0, timeJSN) — AnchorTimeWith holds the commit lock
+	// across the pegging round, so the root at size timeJSN is exactly
+	// what the TSA signed.
+	tp, _, _, err := l.snapshotProofs([]uint64{timeJSN}, st.JSN, nil)
 	if err != nil {
 		return nil, err
 	}
-	b.RecordBytes = raw
-	if withPayload && !occ {
-		rec, err := journal.DecodeRecord(raw)
-		if err != nil {
-			return nil, err
-		}
-		if payload, perr := l.cfg.Blobs.Get(rec.PayloadDigest); perr == nil {
-			b.Payload = payload
-		}
+	wp, _, _, err := l.snapshotProofs([]uint64{jsn}, timeJSN, nil)
+	if err != nil {
+		return nil, err
 	}
+	b.TimeFam, b.TimeProof = tp[0].Fam, wp[0].Fam
 	return b, nil
 }
 
@@ -146,7 +106,7 @@ func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error
 // record and, when a time chain is present, the verified attestation
 // whose Timestamp upper-bounds the record's commit time.
 func VerifyBundle(b *ProofBundle, lsp sig.PublicKey, tsaKeys []sig.PublicKey) (*journal.Record, *journal.TimeAttestation, error) {
-	if b == nil || b.State == nil || b.Fam == nil {
+	if b == nil || b.State == nil {
 		return nil, nil, fmt.Errorf("%w: incomplete bundle", ErrVerify)
 	}
 	if b.URI != b.State.URI {
@@ -155,7 +115,7 @@ func VerifyBundle(b *ProofBundle, lsp sig.PublicKey, tsaKeys []sig.PublicKey) (*
 	if err := b.State.Verify(lsp); err != nil {
 		return nil, nil, err
 	}
-	rec, err := verifyExistenceItem(b.RecordBytes, b.Payload, b.Fam, nil, b.State.JournalRoot)
+	rec, err := VerifyRecordAtRoot(&b.RecordProof, nil, b.State.JournalRoot)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,7 +128,7 @@ func VerifyBundle(b *ProofBundle, lsp sig.PublicKey, tsaKeys []sig.PublicKey) (*
 	if b.TimeFam == nil || b.TimeProof == nil {
 		return nil, nil, fmt.Errorf("%w: incomplete time chain", ErrVerify)
 	}
-	trec, err := verifyExistenceItem(b.TimeRecordBytes, nil, b.TimeFam, nil, b.State.JournalRoot)
+	trec, err := VerifyRecordAtRoot(&RecordProof{RecordBytes: b.TimeRecordBytes, Fam: b.TimeFam}, nil, b.State.JournalRoot)
 	if err != nil {
 		return nil, nil, fmt.Errorf("time journal: %w", err)
 	}
@@ -213,9 +173,7 @@ func (b *ProofBundle) EncodeBytes() []byte {
 	w := wire.NewWriter(4096)
 	w.String(bundleMagic)
 	w.String(b.URI)
-	w.WriteBytes(b.RecordBytes)
-	w.WriteBytes(b.Payload)
-	b.Fam.Encode(w)
+	EncodeRecordProof(w, &b.RecordProof)
 	b.State.Encode(w)
 	w.Bool(b.TimeRecordBytes != nil)
 	if b.TimeRecordBytes != nil {
@@ -236,15 +194,11 @@ func DecodeProofBundle(raw []byte) (*ProofBundle, error) {
 	if magic := r.String(); magic != bundleMagic {
 		return nil, fmt.Errorf("%w: bad bundle magic %q", ErrVerify, magic)
 	}
-	b := &ProofBundle{URI: r.String(), RecordBytes: r.BytesCopy()}
-	if payload := r.BytesCopy(); len(payload) > 0 {
-		b.Payload = payload
-	}
-	fp, err := fam.DecodeProof(r)
-	if err != nil {
+	b := &ProofBundle{URI: r.String()}
+	var err error
+	if b.RecordProof, err = DecodeRecordProof(r); err != nil {
 		return nil, err
 	}
-	b.Fam = fp
 	st, err := DecodeSignedState(r)
 	if err != nil {
 		return nil, err

@@ -12,9 +12,9 @@ import (
 	"ledgerdb/internal/wire"
 )
 
-// Native go test -fuzz targets for the four wire formats that cross the
-// trust boundary most often: existence proofs, clue lineage bundles,
-// receipts, and absence proofs. The deterministic sweeps in
+// Native go test -fuzz targets for the wire formats that cross the
+// trust boundary most often: existence proofs and their batches, clue
+// lineage bundles, receipts, and absence proofs. The deterministic sweeps in
 // codecfuzz_test.go enumerate
 // every 1-byte truncation and flip of a VALID encoding; the fuzzer
 // complements them by mutating far off the valid manifold, where
@@ -142,6 +142,38 @@ func FuzzDecodeAbsenceProof(f *testing.F) {
 		}
 		if !bytes.Equal(p2.EncodeBytes(), enc) {
 			t.Fatal("absence proof encoding is not a fixpoint")
+		}
+	})
+}
+
+// FuzzDecodeExistenceProofBatch covers the batched proof container,
+// whose item count and per-item record proofs (the codec shared with
+// every other existence-proof container) take adversarial values.
+func FuzzDecodeExistenceProofBatch(f *testing.F) {
+	e := newEnv(f, nil)
+	for i := 0; i < 5; i++ {
+		e.append(f, fmt.Sprintf("doc-%d", i), "K")
+	}
+	for _, withPayload := range []bool{true, false} {
+		b, err := e.ledger.ProveExistenceBatch([]uint64{1, 4}, withPayload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.EncodeBytes())
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeExistenceProofBatch(data)
+		if err != nil {
+			return
+		}
+		enc := b.EncodeBytes()
+		b2, err := DecodeExistenceProofBatch(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted batch failed: %v", err)
+		}
+		if !bytes.Equal(b2.EncodeBytes(), enc) {
+			t.Fatal("proof batch encoding is not a fixpoint")
 		}
 	})
 }

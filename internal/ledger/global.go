@@ -4,16 +4,15 @@ import (
 	"fmt"
 
 	"ledgerdb/internal/hashutil"
-	"ledgerdb/internal/journal"
-	"ledgerdb/internal/merkle/fam"
 )
 
 // This file is the engine surface the sharded topology builds on
 // (internal/shard): a coordinator periodically reads each shard's fam
 // head, folds the heads into a global accumulator, and signs one global
 // state. Proofs against that fold need the shard to prove records at the
-// *folded* size — which may trail the live edge — so the prover here is
-// the historical fam.ProveAt rather than the live Prove.
+// *folded* size — which may trail the live edge — so ProveExistenceAt
+// asks the shared prover (snapshotProofs) for that fold size instead of
+// a signed state.
 
 // FamHead is one shard's accumulator head: the journal count and the fam
 // root at that count, captured atomically under one lock epoch.
@@ -43,65 +42,15 @@ func (l *Ledger) FamHead() (FamHead, error) {
 // proof: the raw record and its fam path ending at the root the ledger
 // exposed when it held exactly size journals (a folded FamHead.Size).
 // The caller supplies the trusted root — typically via the coordinator's
-// signed global state — so no SignedState ships here.
-//
-// Locking mirrors proveExistence: the fam path and occult bit are read
-// under one RLock epoch; the immutable journal-stream and blob reads run
-// after the lock is dropped.
+// signed global state — so no SignedState ships here. It runs through
+// the same prover, and the same lock section, as ProveExistence.
 func (l *Ledger) ProveExistenceAt(jsn, size uint64, withPayload bool) (*RecordProof, error) {
-	l.mu.RLock()
-	if size > l.nextJSN {
-		l.mu.RUnlock()
-		return nil, fmt.Errorf("%w: proof at size %d of %d", ErrNotFound, size, l.nextJSN)
-	}
 	if jsn >= size {
-		l.mu.RUnlock()
 		return nil, fmt.Errorf("%w: jsn %d at size %d", ErrNotFound, jsn, size)
 	}
-	if jsn < l.base {
-		l.mu.RUnlock()
-		return nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
-	}
-	fp, err := l.fam.ProveAt(jsn, size)
-	if err != nil {
-		l.mu.RUnlock()
-		return nil, err
-	}
-	occ := l.occulted[jsn]
-	l.mu.RUnlock()
-	raw, err := l.readJournalBytes(jsn)
+	ps, _, err := l.proveRecords([]uint64{jsn}, size, nil, withPayload)
 	if err != nil {
 		return nil, err
 	}
-	p := &RecordProof{RecordBytes: raw, Fam: fp}
-	if withPayload && !occ {
-		rec, err := journal.DecodeRecord(raw)
-		if err != nil {
-			return nil, err
-		}
-		if payload, err := l.cfg.Blobs.Get(rec.PayloadDigest); err == nil {
-			p.Payload = payload
-		}
-	}
-	return p, nil
-}
-
-// RecordProof is the stateless core of an existence proof: record bytes
-// plus the fam path, anchored by whatever trusted root the caller holds
-// (a signed shard state, or a fold-time head bound into a signed global
-// root). ExistenceProof is this plus a shard-local SignedState.
-type RecordProof struct {
-	RecordBytes []byte
-	Payload     []byte // nil for occulted journals or digest-only proofs
-	Fam         *fam.Proof
-}
-
-// VerifyRecordAtRoot is the pure client-side check of a RecordProof
-// against a trusted fam root: fold the record's tx-hash through the fam
-// path to root, re-verify the record's client signatures (who), and match
-// the payload against the recorded digest when present (what). The root's
-// own authenticity — LSP signature, or global accumulator membership plus
-// coordinator signature — is the caller's concern.
-func VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.Proof, root hashutil.Digest) (*journal.Record, error) {
-	return verifyExistenceItem(recordBytes, payload, fp, nil, root)
+	return &ps[0], nil
 }

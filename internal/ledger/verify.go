@@ -17,125 +17,218 @@ import (
 // different manners" per §II-C: at server side when the LSP is trusted,
 // at client side when it is not.
 
+// RecordProof is the stateless core of every existence proof: one
+// journal's raw record, its optional payload, and its fam path. It is
+// anchored by whatever trusted root the caller holds — a signed state
+// (ExistenceProof, ExistenceProofBatch, ProofBundle) or a fold-time
+// shard head bound into a signed global root (shard.GlobalProof).
+type RecordProof struct {
+	RecordBytes []byte
+	Payload     []byte // nil for occulted journals or digest-only proofs
+	Fam         *fam.Proof
+}
+
 // ExistenceProof bundles everything a distrusting client needs to verify
 // that a journal exists verbatim on the ledger (the what factor):
 // the raw record, its fam accumulator proof, and the LSP-signed state the
 // proof anchors to. Payload is included when the caller asked for it and
 // the journal is not occulted.
 type ExistenceProof struct {
-	RecordBytes []byte
-	Payload     []byte // nil for occulted journals or digest-only proofs
-	Fam         *fam.Proof
-	State       *SignedState
+	RecordProof
+	State *SignedState
 }
 
 // ProveExistence builds an existence proof for jsn against the live
-// state. withPayload controls whether the raw payload ships along.
-//
-// The ledger lock covers only the in-memory snapshot: bounds, the fam
-// path (copied out by Prove), the occult bit, and the signed state.
-// The journal-stream and blob reads happen after the lock is dropped —
-// committed records and content-addressed payloads are immutable, and
-// both stores carry their own locks.
+// state (on a follower, the newest checkpoint). withPayload controls
+// whether the raw payload ships along.
 func (l *Ledger) ProveExistence(jsn uint64, withPayload bool) (*ExistenceProof, error) {
-	return l.proveExistence(jsn, nil, withPayload)
+	return l.ProveExistenceAnchored(jsn, nil, withPayload)
 }
 
 // ProveExistenceAnchored is ProveExistence using a verifier-held fam-aoa
-// trusted anchor, producing the short proof of Figure 4(a). The anchored
-// fam path and the signed state are taken under one read-lock section,
-// so the hop chain ends at exactly the signed JournalRoot even while
-// concurrent appends land.
+// trusted anchor, producing the short proof of Figure 4(a); a nil anchor
+// is ProveExistence. The anchored fam path and the signed state are
+// taken under one read-lock section, so the hop chain ends at exactly
+// the signed JournalRoot even while concurrent appends land.
 func (l *Ledger) ProveExistenceAnchored(jsn uint64, a *fam.Anchor, withPayload bool) (*ExistenceProof, error) {
-	return l.proveExistence(jsn, a, withPayload)
+	ps, st, err := l.proveRecords([]uint64{jsn}, 0, a, withPayload)
+	if err != nil {
+		return nil, err
+	}
+	return &ExistenceProof{RecordProof: ps[0], State: st}, nil
 }
 
-func (l *Ledger) proveExistence(jsn uint64, a *fam.Anchor, withPayload bool) (*ExistenceProof, error) {
+// snapshotProofs is the locked half of every existence prover. Under one
+// read-lock epoch it bounds-checks jsns, picks the root the proofs fold
+// to, and copies out each fam path and occult bit. The root is
+//   - fold > 0: the fam root at fold journals, with no state (a shard
+//     head folded by the coordinator, whose signature the caller holds);
+//   - a != nil: the live signed state, reached through the verifier's
+//     fam-aoa anchor (on a follower, the checkpoint at exactly the
+//     applied frontier);
+//   - otherwise the live signed state on a primary, or on a follower the
+//     newest primary-signed checkpoint. A follower cannot sign its own
+//     frontier, but fam's historical paths fold any covered record to
+//     exactly the root the primary signed; this keeps a partitioned
+//     follower serving the checkpointed prefix while it refuses the
+//     uncovered tail (ErrStaleCheckpoint, 503 at the server).
+func (l *Ledger) snapshotProofs(jsns []uint64, fold uint64, a *fam.Anchor) ([]RecordProof, []bool, *SignedState, error) {
 	l.mu.RLock()
-	if jsn >= l.nextJSN {
-		l.mu.RUnlock()
-		return nil, fmt.Errorf("%w: jsn %d of %d", ErrNotFound, jsn, l.nextJSN)
+	defer l.mu.RUnlock()
+	if fold > l.nextJSN {
+		return nil, nil, nil, fmt.Errorf("%w: proof at size %d of %d", ErrNotFound, fold, l.nextJSN)
 	}
-	if jsn < l.base {
-		l.mu.RUnlock()
-		return nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
+	for _, jsn := range jsns {
+		if jsn >= l.nextJSN {
+			return nil, nil, nil, fmt.Errorf("%w: jsn %d of %d", ErrNotFound, jsn, l.nextJSN)
+		}
+		if jsn < l.base {
+			return nil, nil, nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
+		}
 	}
-	var fp *fam.Proof
 	var st *SignedState
 	var err error
-	if l.cfg.ApplyOnly && a == nil {
-		// Follower path: prove against the newest primary-signed
-		// checkpoint, not the live frontier — the follower cannot sign a
-		// frontier state, but fam's historical proofs (ProveAt) fold any
-		// covered record to exactly the root the primary signed. This is
-		// what keeps a partitioned follower serving verifiable proofs
-		// for the entire checkpointed prefix while honestly refusing the
-		// uncovered tail (ErrStaleCheckpoint → 503 at the server).
-		st, err = l.replicaAnyStateLocked()
-		if err == nil && jsn >= st.JSN {
-			err = fmt.Errorf("%w: jsn %d not covered by checkpoint at %d", ErrStaleCheckpoint, jsn, st.JSN)
-		}
-		if err == nil {
-			fp, err = l.fam.ProveAt(jsn, st.JSN)
-		}
-	} else {
-		if a != nil {
-			fp, err = l.fam.ProveAnchored(jsn, a)
+	size := fold
+	if fold == 0 {
+		if l.cfg.ApplyOnly && a == nil {
+			st, err = l.replicaAnyStateLocked()
 		} else {
-			fp, err = l.fam.Prove(jsn)
-		}
-		if err == nil {
 			st, err = l.stateLocked()
 		}
-	}
-	occ := l.occulted[jsn]
-	l.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	raw, err := l.readJournalBytes(jsn)
-	if err != nil {
-		return nil, err
-	}
-	p := &ExistenceProof{RecordBytes: raw, Fam: fp, State: st}
-	if withPayload && !occ {
-		rec, err := journal.DecodeRecord(raw)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		payload, err := l.cfg.Blobs.Get(rec.PayloadDigest)
-		if err == nil {
-			p.Payload = payload
+		size = st.JSN
+	}
+	ps := make([]RecordProof, len(jsns))
+	occ := make([]bool, len(jsns))
+	for i, jsn := range jsns {
+		if jsn >= size {
+			return nil, nil, nil, fmt.Errorf("%w: jsn %d not covered by checkpoint at %d", ErrStaleCheckpoint, jsn, size)
+		}
+		if a != nil {
+			ps[i].Fam, err = l.fam.ProveAnchored(jsn, a)
+		} else {
+			ps[i].Fam, err = l.fam.ProveAt(jsn, size)
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		occ[i] = l.occulted[jsn]
+	}
+	return ps, occ, st, nil
+}
+
+// proveRecords is every existence prover: snapshotProofs under the lock,
+// then the record bytes and (when asked for and not occulted) payloads
+// read after it is dropped. Committed records and content-addressed
+// payloads are immutable, and both stores carry their own locks.
+func (l *Ledger) proveRecords(jsns []uint64, fold uint64, a *fam.Anchor, withPayload bool) ([]RecordProof, *SignedState, error) {
+	ps, occ, st, err := l.snapshotProofs(jsns, fold, a)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, jsn := range jsns {
+		if ps[i].RecordBytes, err = l.readJournalBytes(jsn); err != nil {
+			return nil, nil, err
+		}
+		if withPayload && !occ[i] {
+			rec, err := journal.DecodeRecord(ps[i].RecordBytes)
+			if err != nil {
+				return nil, nil, err
+			}
+			if payload, err := l.cfg.Blobs.Get(rec.PayloadDigest); err == nil {
+				ps[i].Payload = payload
+			}
 		}
 	}
+	return ps, st, nil
+}
+
+// VerifyRecordAtRoot is the one per-record existence check, shared by
+// every proof container once it has authenticated root: decode the
+// record, fold its tx-hash through the fam path to root (through anchor
+// a when non-nil), re-verify the record's client signatures (who), and
+// match a shipped payload against the recorded digest (the "foobar" vs
+// "foopar" check of §III-A). The root's own authenticity — LSP
+// signature, or global accumulator membership plus coordinator
+// signature — is the caller's concern.
+//
+// Occult Protocol 2 falls out naturally: an occulted journal ships no
+// payload, and its retained PayloadDigest is what the tx-hash covers.
+func VerifyRecordAtRoot(p *RecordProof, a *fam.Anchor, root hashutil.Digest) (*journal.Record, error) {
+	if p == nil || p.Fam == nil {
+		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
+	}
+	rec, err := journal.DecodeRecord(p.RecordBytes)
+	if err != nil {
+		return nil, err
+	}
+	// The fam fold below binds the record's content; this binds the
+	// path's claimed position, which fam.Verify treats as metadata.
+	if p.Fam.Index != rec.JSN {
+		return nil, fmt.Errorf("%w: fam proof is for journal %d, record is %d", ErrVerify, p.Fam.Index, rec.JSN)
+	}
+	txHash := rec.TxHash()
+	if a != nil {
+		err = fam.VerifyAnchored(txHash, p.Fam, a, root)
+	} else {
+		err = fam.Verify(txHash, p.Fam, root)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: what: %v", ErrVerify, err)
+	}
+	if err := journal.VerifyRecordSigs(rec); err != nil {
+		return nil, fmt.Errorf("%w: who: %v", ErrVerify, err)
+	}
+	if p.Payload != nil && hashutil.Sum(p.Payload) != rec.PayloadDigest {
+		return nil, fmt.Errorf("%w: payload does not match recorded digest", ErrVerify)
+	}
+	return rec, nil
+}
+
+// EncodeRecordProof appends p. Every container that carries a record
+// proof (existence proofs, batches, bundles, global proofs) uses this
+// layout. It is a function, not a method, so the containers that embed
+// RecordProof do not inherit a partial encoder.
+func EncodeRecordProof(w *wire.Writer, p *RecordProof) {
+	w.WriteBytes(p.RecordBytes)
+	w.WriteBytes(p.Payload)
+	p.Fam.Encode(w)
+}
+
+// DecodeRecordProof reads a record proof written by EncodeRecordProof.
+// An empty payload decodes as nil (digest-only).
+func DecodeRecordProof(r *wire.Reader) (RecordProof, error) {
+	p := RecordProof{RecordBytes: r.BytesCopy()}
+	if payload := r.BytesCopy(); len(payload) > 0 {
+		p.Payload = payload
+	}
+	fp, err := fam.DecodeProof(r)
+	if err != nil {
+		return RecordProof{}, err
+	}
+	p.Fam = fp
 	return p, nil
 }
 
 // VerifyExistence is the client-side what (+who) verification: check the
-// LSP's signature on the state, fold the record's tx-hash through the fam
-// proof to the signed journal root, re-verify the record's client
-// signatures, and — when a payload is present — match it against the
-// recorded digest (the "foobar" vs "foopar" check of §III-A).
-//
-// Occult Protocol 2 falls out naturally: an occulted journal ships no
-// payload, and its retained PayloadDigest is what the tx-hash covers.
+// LSP's signature on the state, then VerifyRecordAtRoot against the
+// signed journal root.
 func VerifyExistence(p *ExistenceProof, lsp sig.PublicKey) (*journal.Record, error) {
-	return verifyExistence(p, lsp, nil)
+	return VerifyExistenceAnchored(p, lsp, nil)
 }
 
-// VerifyExistenceAnchored is VerifyExistence under a fam-aoa anchor.
+// VerifyExistenceAnchored is VerifyExistence under a fam-aoa anchor; a
+// nil anchor is VerifyExistence.
 func VerifyExistenceAnchored(p *ExistenceProof, lsp sig.PublicKey, a *fam.Anchor) (*journal.Record, error) {
-	return verifyExistence(p, lsp, a)
-}
-
-func verifyExistence(p *ExistenceProof, lsp sig.PublicKey, a *fam.Anchor) (*journal.Record, error) {
-	if p == nil || p.State == nil || p.Fam == nil {
+	if p == nil || p.State == nil {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
 	}
 	if err := p.State.Verify(lsp); err != nil {
 		return nil, err
 	}
-	return verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, a, p.State.JournalRoot)
+	return VerifyRecordAtRoot(&p.RecordProof, a, p.State.JournalRoot)
 }
 
 // VerifyExistenceServer is the trusted-LSP fast path: the server checks
@@ -287,9 +380,7 @@ func VerifyClue(b *ClueProofBundle, lsp sig.PublicKey) ([]*journal.Record, error
 // EncodeBytes serializes an existence proof for transport.
 func (p *ExistenceProof) EncodeBytes() []byte {
 	w := wire.NewWriter(1024)
-	w.WriteBytes(p.RecordBytes)
-	w.WriteBytes(p.Payload)
-	p.Fam.Encode(w)
+	EncodeRecordProof(w, &p.RecordProof)
 	p.State.Encode(w)
 	return w.Bytes()
 }
@@ -297,24 +388,18 @@ func (p *ExistenceProof) EncodeBytes() []byte {
 // DecodeExistenceProof parses a transported existence proof.
 func DecodeExistenceProof(b []byte) (*ExistenceProof, error) {
 	r := wire.NewReader(b)
-	p := &ExistenceProof{RecordBytes: r.BytesCopy()}
-	if payload := r.BytesCopy(); len(payload) > 0 {
-		p.Payload = payload
-	}
-	fp, err := fam.DecodeProof(r)
+	rp, err := DecodeRecordProof(r)
 	if err != nil {
 		return nil, err
 	}
-	p.Fam = fp
 	st, err := DecodeSignedState(r)
 	if err != nil {
 		return nil, err
 	}
-	p.State = st
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &ExistenceProof{RecordProof: rp, State: st}, nil
 }
 
 // EncodeBytes serializes a clue proof bundle for transport.

@@ -246,24 +246,11 @@ func (p *Proof) PathLen() int {
 }
 
 // Prove produces a cold proof for a journal index against the current
-// root: in-epoch path plus the full merged-leaf chain.
+// root: in-epoch path plus the full merged-leaf chain. That is ProveAt
+// at the live size; TestProveAtLiveEqualsProve pins the two constructions
+// to the same bytes.
 func (t *Tree) Prove(index uint64) (*Proof, error) {
-	e, leaf, err := t.locate(index)
-	if err != nil {
-		return nil, err
-	}
-	p, err := t.inEpochProof(index, e, leaf)
-	if err != nil {
-		return nil, err
-	}
-	for k := e + 1; k <= len(t.sealed); k++ {
-		hop, err := t.hop(k)
-		if err != nil {
-			return nil, err
-		}
-		p.Hops = append(p.Hops, hop)
-	}
-	return p, nil
+	return t.ProveAt(index, t.size)
 }
 
 func (t *Tree) inEpochProof(index uint64, e int, leaf uint64) (*Proof, error) {

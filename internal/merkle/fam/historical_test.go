@@ -1,8 +1,11 @@
 package fam
 
 import (
+	"bytes"
 	"errors"
 	"testing"
+
+	"ledgerdb/internal/wire"
 )
 
 // TestRootAtMatchesReplay pins the meaning of a historical root: RootAt(s)
@@ -64,22 +67,66 @@ func TestProveAtAllPairs(t *testing.T) {
 	}
 }
 
-// TestProveAtLiveEqualsProve: at the live size the historical path must
-// reduce to the ordinary cold proof.
-func TestProveAtLiveEqualsProve(t *testing.T) {
-	const n = 23
-	tr := build(t, 3, n)
-	root, err := tr.Root()
+// liveProof is the live cold-proof construction, kept here as the
+// reference Prove is checked against: the in-epoch path, then a
+// whole-epoch hop into every later epoch up to the open one.
+func liveProof(tr *Tree, index uint64) (*Proof, error) {
+	e, leaf, err := tr.locate(index)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	for i := uint64(0); i < n; i++ {
-		p, err := tr.ProveAt(i, n)
+	p, err := tr.inEpochProof(index, e, leaf)
+	if err != nil {
+		return nil, err
+	}
+	for k := e + 1; k <= len(tr.sealed); k++ {
+		hop, err := tr.hop(k)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		if err := Verify(leafOf(i), p, root); err != nil {
-			t.Fatalf("ProveAt(%d, live) does not verify: %v", i, err)
+		p.Hops = append(p.Hops, hop)
+	}
+	return p, nil
+}
+
+func encodeProof(p *Proof) []byte {
+	w := wire.NewWriter(256)
+	p.Encode(w)
+	return w.Bytes()
+}
+
+// TestProveAtLiveEqualsProve: at the live size the historical path must
+// reduce to the live cold proof byte for byte, and a tree that has since
+// grown must hand out the same bytes for that past size. Proofs are
+// signed over and shipped in offline bundles, so "verifies" is not
+// enough: Prove, ProveAt at the live size and ProveAt at a past size
+// must agree on the encoding, for δ 2–4 across several epoch seals.
+func TestProveAtLiveEqualsProve(t *testing.T) {
+	const n = 70
+	for h := uint8(2); h <= 4; h++ {
+		grown := build(t, h, n)
+		for s := uint64(1); s < n; s++ {
+			tr := build(t, h, s)
+			for i := uint64(0); i < s; i++ {
+				ref, err := liveProof(tr, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := encodeProof(ref)
+				for name, prove := range map[string]func() (*Proof, error){
+					"Prove":        func() (*Proof, error) { return tr.Prove(i) },
+					"ProveAt live": func() (*Proof, error) { return tr.ProveAt(i, s) },
+					"ProveAt past": func() (*Proof, error) { return grown.ProveAt(i, s) },
+				} {
+					p, err := prove()
+					if err != nil {
+						t.Fatalf("δ=%d %s(%d) at size %d: %v", h, name, i, s, err)
+					}
+					if !bytes.Equal(encodeProof(p), want) {
+						t.Fatalf("δ=%d %s(%d) at size %d encodes differently from the live cold proof", h, name, i, s)
+					}
+				}
+			}
 		}
 	}
 }

@@ -488,12 +488,33 @@ func (s *Server) handleProofAnchored(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(p.EncodeBytes())})
 }
 
+// queryUint parses an optional unsigned query parameter; absent is 0.
+func queryUint(r *http.Request, key string) (uint64, error) {
+	v := r.URL.Query().Get(key)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w: bad %s %q", journal.ErrBadRequest, key, v)
+	}
+	return n, nil
+}
+
+// handleClueProof proves versions [begin, end) of a clue; both default
+// to 0, and end 0 means the whole lineage.
 func (s *Server) handleClueProof(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	q := r.URL.Query()
-	begin, _ := strconv.ParseUint(q.Get("begin"), 10, 64)
-	end, _ := strconv.ParseUint(q.Get("end"), 10, 64)
-	b, err := s.Ledger.ProveClue(name, begin, end)
+	begin, err := queryUint(r, "begin")
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	end, err := queryUint(r, "end")
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	b, err := s.Ledger.ProveClue(r.PathValue("name"), begin, end)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -170,6 +171,34 @@ func TestEndToEndClueVerification(t *testing.T) {
 	recs, err = s.cli.VerifyClue("DCI001", 2, 5)
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("range verify: %d, %v", len(recs), err)
+	}
+}
+
+// TestClueProofRejectsMalformedRange: a begin or end that does not
+// parse is a 400, not a silent proof of the whole lineage.
+func TestClueProofRejectsMalformedRange(t *testing.T) {
+	s := newStack(t)
+	for i := 0; i < 3; i++ {
+		if _, err := s.cli.Append([]byte(fmt.Sprintf("v%d", i)), "DCI002"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for query, want := range map[string]int{
+		"?begin=x":        http.StatusBadRequest,
+		"?end=-1":         http.StatusBadRequest,
+		"?begin=0&end=2x": http.StatusBadRequest,
+		"?begin=1&end=3":  http.StatusOK,
+		"":                http.StatusOK,
+		"?begin=&end=":    http.StatusOK,
+	} {
+		resp, err := http.Get(s.srv.URL + "/v1/clue/DCI002/proof" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("clue proof %q: status %d, want %d", query, resp.StatusCode, want)
+		}
 	}
 }
 

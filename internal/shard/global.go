@@ -7,7 +7,6 @@ import (
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/merkle/accumulator"
-	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/wire"
 )
@@ -182,7 +181,7 @@ func VerifyGlobal(p *GlobalProof, coord sig.PublicKey) (*journal.Record, error) 
 	if p.Head.Size == 0 {
 		return nil, fmt.Errorf("%w: empty shard head cannot cover a record", ErrBadProof)
 	}
-	rec, err := ledger.VerifyRecordAtRoot(p.Record.RecordBytes, p.Record.Payload, p.Record.Fam, p.Head.Root)
+	rec, err := ledger.VerifyRecordAtRoot(p.Record, nil, p.Head.Root)
 	if err != nil {
 		return nil, fmt.Errorf("%w: shard %d: %v", ErrBadProof, p.Head.Shard, err)
 	}
@@ -194,9 +193,7 @@ func (p *GlobalProof) EncodeBytes() []byte {
 	w := wire.NewWriter(1024)
 	p.Head.Encode(w)
 	p.Acc.Encode(w)
-	w.WriteBytes(p.Record.RecordBytes)
-	w.WriteBytes(p.Record.Payload)
-	p.Record.Fam.Encode(w)
+	ledger.EncodeRecordProof(w, p.Record)
 	p.Global.Encode(w)
 	return w.Bytes()
 }
@@ -210,16 +207,11 @@ func DecodeGlobalProof(b []byte) (*GlobalProof, error) {
 		return nil, err
 	}
 	p.Acc = ap
-	rp := &ledger.RecordProof{RecordBytes: r.BytesCopy()}
-	if payload := r.BytesCopy(); len(payload) > 0 {
-		rp.Payload = payload
-	}
-	fp, err := fam.DecodeProof(r)
+	rp, err := ledger.DecodeRecordProof(r)
 	if err != nil {
 		return nil, err
 	}
-	rp.Fam = fp
-	p.Record = rp
+	p.Record = &rp
 	g, err := DecodeGlobalState(r)
 	if err != nil {
 		return nil, err

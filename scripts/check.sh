@@ -56,11 +56,14 @@ stage_tests() {
 
 stage_fuzz() {
     echo "== fuzz smoke (10s per wire decoder) =="
-    go test -run xxx -fuzz FuzzDecodeExistenceProof -fuzztime 10s ./internal/ledger > /dev/null
+    # Anchored: -fuzz must match exactly one target per package.
+    go test -run xxx -fuzz '^FuzzDecodeExistenceProof$' -fuzztime 10s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz '^FuzzDecodeExistenceProofBatch$' -fuzztime 10s ./internal/ledger > /dev/null
     go test -run xxx -fuzz FuzzDecodeClueBundle -fuzztime 10s ./internal/ledger > /dev/null
     go test -run xxx -fuzz FuzzDecodeReceipt -fuzztime 10s ./internal/ledger > /dev/null
     go test -run xxx -fuzz FuzzDecodeSchedule -fuzztime 10s ./internal/netchaos > /dev/null
     go test -run xxx -fuzz FuzzMutateEnvelope -fuzztime 10s ./internal/netchaos > /dev/null
+    go test -run xxx -fuzz FuzzDecodeGlobalProof -fuzztime 10s ./internal/shard > /dev/null
 }
 
 stage_race() {
