@@ -32,7 +32,8 @@ var (
 	// has no primary-signed state covering its applied prefix (it is
 	// catching up, or the primary stopped publishing checkpoints). The
 	// server maps it to 503 + Retry-After — honest degradation rather
-	// than an unverifiable answer.
+	// than an unverifiable answer. SetReplicaState returns it for a
+	// checkpoint it cannot cross-check yet.
 	ErrStaleCheckpoint = errors.New("ledger: no checkpoint covering replica state")
 	// ErrDiverged means a primary-signed checkpoint does not match the
 	// accumulator roots the follower derived from the replicated
@@ -46,13 +47,9 @@ var (
 // guarded by l.mu.
 type replicaState struct {
 	// current is the newest verified checkpoint whose prefix the
-	// follower has fully applied and cross-checked (fam root match).
-	// Proofs and reads anchor to it.
+	// follower has fully applied and cross-checked. Proofs and reads
+	// anchor to it.
 	current *SignedState
-	// pending is the newest verified checkpoint the follower has not
-	// caught up to yet; it promotes to current once the applied prefix
-	// covers it.
-	pending *SignedState
 	// seeding is true while a resync is in flight: the journal stream
 	// was re-based at the primary's purge point and records are being
 	// copied verbatim, but projections (clues, world state, membership)
@@ -92,17 +89,35 @@ func (l *Ledger) replicaAnyStateLocked() (*SignedState, error) {
 	return nil, fmt.Errorf("%w: applied %d", ErrStaleCheckpoint, l.nextJSN)
 }
 
-// promoteReplicaStateLocked moves pending to current once the applied
-// prefix covers it, cross-checking the primary-signed roots against the
-// locally derived accumulators. The fam check runs on every promotion;
-// the clue/state roots can only be compared when the checkpoint sits
-// exactly at the frontier (projections exist only at the frontier).
-func (l *Ledger) promoteReplicaStateLocked() error {
-	st := l.replica.pending
-	if st == nil || st.JSN > l.nextJSN || l.replica.seeding {
-		return nil
+// SetReplicaState installs a primary-signed checkpoint fetched by the
+// replication puller. The signature is verified against the pinned
+// primary key before anything is cached. The puller applies exactly up
+// to the checkpoint it fetched, so the install normally lands at the
+// applied frontier, where the fam, clue and state roots are all
+// cross-checked against the locally derived accumulators. A checkpoint
+// behind the frontier gets the fam check only (projections exist only
+// at the frontier) and never moves the watermark backwards. One ahead
+// of the applied prefix, or one arriving mid-resync, cannot be checked
+// at all: it is refused with ErrStaleCheckpoint and the current
+// checkpoint stays.
+func (l *Ledger) SetReplicaState(st *SignedState) error {
+	if !l.cfg.ApplyOnly {
+		return fmt.Errorf("%w: not an apply-only replica", ErrNotPermitted)
 	}
-	l.replica.pending = nil
+	if st.URI != l.cfg.URI {
+		return fmt.Errorf("%w: checkpoint for %q on replica of %q", ErrNotPermitted, st.URI, l.cfg.URI)
+	}
+	if err := st.Verify(l.cfg.PrimaryLSP); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.replica.seeding {
+		return fmt.Errorf("%w: resync in flight", ErrStaleCheckpoint)
+	}
+	if st.JSN > l.nextJSN {
+		return fmt.Errorf("%w: checkpoint at %d is ahead of applied %d", ErrStaleCheckpoint, st.JSN, l.nextJSN)
+	}
 	if st.JSN > 0 {
 		root, err := l.fam.RootAt(st.JSN)
 		if err != nil {
@@ -128,29 +143,6 @@ func (l *Ledger) promoteReplicaStateLocked() error {
 		l.stateGen++
 	}
 	return nil
-}
-
-// SetReplicaState installs a primary-signed checkpoint fetched by the
-// replication puller. The signature is verified against the pinned
-// primary key before anything is cached; a checkpoint ahead of the
-// applied prefix parks as pending and promotes once the records
-// covering it have been applied.
-func (l *Ledger) SetReplicaState(st *SignedState) error {
-	if !l.cfg.ApplyOnly {
-		return fmt.Errorf("%w: not an apply-only replica", ErrNotPermitted)
-	}
-	if st.URI != l.cfg.URI {
-		return fmt.Errorf("%w: checkpoint for %q on replica of %q", ErrNotPermitted, st.URI, l.cfg.URI)
-	}
-	if err := st.Verify(l.cfg.PrimaryLSP); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if p := l.replica.pending; p == nil || st.JSN > p.JSN {
-		l.replica.pending = st
-	}
-	return l.promoteReplicaStateLocked()
 }
 
 // ReplicaInfo reports the follower's replication watermark for health
@@ -343,10 +335,7 @@ func (l *Ledger) ApplyReplicatedJournals(offset uint64, recs [][]byte, survivalS
 		}
 		applied++
 	}
-	if err := l.syncCommitLocked(); err != nil {
-		return applied, barrier, err
-	}
-	return applied, barrier, l.promoteReplicaStateLocked()
+	return applied, barrier, l.syncCommitLocked()
 }
 
 // projectReplicatedLocked replays one just-appended primary record into
@@ -440,11 +429,8 @@ func (l *Ledger) ApplyReplicatedBlocks(offset uint64, recs [][]byte) (int, error
 		last := l.headers[len(l.headers)-1]
 		l.pendingCount = l.nextJSN - (last.FirstJSN + last.Count)
 	}
-	//lint:ignore L1 block headers sync last, after the records they commit — the primary's commit order, enforced here before the new head is promoted
-	if err := l.blocks.Sync(); err != nil {
-		return applied, err
-	}
-	return applied, l.promoteReplicaStateLocked()
+	//lint:ignore L1 block headers sync last, after the records they commit — the primary's commit order
+	return applied, l.blocks.Sync()
 }
 
 // ApplyReplicatedDigests fills the fam accumulator during a resync with

@@ -31,10 +31,11 @@ func newFollower(t testing.TB, e *testEnv) *Ledger {
 }
 
 // pump runs replication rounds (the ledger-level equivalent of one
-// puller cycle: survival, journals with gap/barrier handling, blocks,
-// then the checkpoint) until the follower has converged on the
-// primary's frontier. It is the reference implementation of the
-// protocol the networked puller in internal/replica follows.
+// puller round: checkpoint, survival, journals up to the checkpoint with
+// gap/barrier handling, blocks, install) until the follower has
+// converged on the primary's frontier. It is the reference
+// implementation of the protocol the networked puller in
+// internal/replica follows.
 func pump(t testing.TB, p, f *Ledger) {
 	t.Helper()
 	const batch = 64
@@ -42,7 +43,13 @@ func pump(t testing.TB, p, f *Ledger) {
 		if round > 1000 {
 			t.Fatal("pump did not converge")
 		}
-		// Survival first: the same order syncCommitLocked flushes in.
+		// Checkpoint first: the round applies exactly the prefix it
+		// covers, so the install lands at the applied frontier.
+		st, err := p.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Survival next: the same order syncCommitLocked flushes in.
 		_, fsLen, _ := f.StreamFrontier(StreamSurvival)
 		recs, _, _, err := p.ReadStreamRange(StreamSurvival, fsLen, batch, 0)
 		if err != nil {
@@ -53,9 +60,42 @@ func pump(t testing.TB, p, f *Ledger) {
 				t.Fatal(err)
 			}
 		}
-		// Journals, with purge-gap resync and purge-barrier handling.
+		// Journals up to the checkpoint, with purge-gap resync and
+		// purge-barrier handling.
+		if !pumpJournals(t, p, f, st.JSN, batch) {
+			continue // resynced: the next round continues from the new base
+		}
+		// Blocks.
+		_, fbLen, _ := f.StreamFrontier(StreamBlocks)
+		brecs, _, _, err := p.ReadStreamRange(StreamBlocks, fbLen, batch, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(brecs) > 0 {
+			if _, err := f.ApplyReplicatedBlocks(fbLen, brecs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.SetReplicaState(st); err != nil {
+			t.Fatal(err)
+		}
+		if f.Size() == p.Size() && f.Height() == p.Height() {
+			return
+		}
+	}
+}
+
+// pumpJournals applies journal frames capped at target until the
+// follower's prefix reaches it. It returns false after a purge-gap
+// resync instead.
+func pumpJournals(t testing.TB, p, f *Ledger, target uint64, batch int) bool {
+	t.Helper()
+	for {
 		_, fjLen, _ := f.StreamFrontier(StreamJournals)
-		recs, pBase, _, err := p.ReadStreamRange(StreamJournals, fjLen, batch, 0)
+		if fjLen >= target {
+			return true
+		}
+		recs, pBase, _, err := p.ReadStreamRange(StreamJournals, fjLen, int(min(target-fjLen, uint64(batch))), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +110,7 @@ func pump(t testing.TB, p, f *Ledger) {
 				if fdLen >= pBase {
 					break
 				}
-				max := batch
-				if pBase-fdLen < uint64(max) {
-					max = int(pBase - fdLen)
-				}
-				drecs, _, _, err := p.ReadStreamRange(StreamDigests, fdLen, max, 0)
+				drecs, _, _, err := p.ReadStreamRange(StreamDigests, fdLen, int(min(pBase-fdLen, uint64(batch))), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,57 +121,36 @@ func pump(t testing.TB, p, f *Ledger) {
 					t.Fatal(err)
 				}
 			}
-			continue
+			return false
 		}
-		if len(recs) > 0 {
-			applied, barrier, err := f.ApplyReplicatedJournals(fjLen, recs, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if barrier {
-				// A purge journal: sync survival to the primary's current
-				// frontier, then retry the remainder.
-				for {
-					_, fsLen, _ := f.StreamFrontier(StreamSurvival)
-					srecs, _, sSize, err := p.ReadStreamRange(StreamSurvival, fsLen, batch, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(srecs) > 0 {
-						if _, err := f.ApplyReplicatedSurvival(fsLen, srecs); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if fsLen+uint64(len(srecs)) >= sSize {
-						break
-					}
-				}
-				if _, _, err := f.ApplyReplicatedJournals(fjLen+uint64(applied), recs[applied:], true); err != nil {
+		if len(recs) == 0 {
+			t.Fatalf("journals stalled at %d of checkpoint %d", fjLen, target)
+		}
+		applied, barrier, err := f.ApplyReplicatedJournals(fjLen, recs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if barrier {
+			// A purge journal: sync survival to the primary's current
+			// frontier, then retry the remainder.
+			for {
+				_, fsLen, _ := f.StreamFrontier(StreamSurvival)
+				srecs, _, sSize, err := p.ReadStreamRange(StreamSurvival, fsLen, batch, 0)
+				if err != nil {
 					t.Fatal(err)
 				}
+				if len(srecs) > 0 {
+					if _, err := f.ApplyReplicatedSurvival(fsLen, srecs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if fsLen+uint64(len(srecs)) >= sSize {
+					break
+				}
 			}
-		}
-		// Blocks.
-		_, fbLen, _ := f.StreamFrontier(StreamBlocks)
-		brecs, _, _, err := p.ReadStreamRange(StreamBlocks, fbLen, batch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(brecs) > 0 {
-			if _, err := f.ApplyReplicatedBlocks(fbLen, brecs); err != nil {
+			if _, _, err := f.ApplyReplicatedJournals(fjLen+uint64(applied), recs[applied:], true); err != nil {
 				t.Fatal(err)
 			}
-		}
-		// Checkpoint last, so it covers everything just applied.
-		st, err := p.State()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.SetReplicaState(st); err != nil {
-			t.Fatal(err)
-		}
-		if f.Size() == p.Size() && f.Height() == p.Height() {
-			return
 		}
 	}
 }
@@ -304,6 +319,44 @@ func TestReplicaRejectsBadCheckpoints(t *testing.T) {
 	}
 	if err := f.SetReplicaState(&diverged); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("diverged checkpoint: %v, want ErrDiverged", err)
+	}
+	// At the exact frontier the clue and state roots are cross-checked
+	// too: a checkpoint tampered in either one diverges.
+	for name, tamper := range map[string]func(*SignedState){
+		"clue root":  func(s *SignedState) { s.ClueRoot[0] ^= 0xff },
+		"state root": func(s *SignedState) { s.StateRoot[0] ^= 0xff },
+	} {
+		bad := *st
+		tamper(&bad)
+		if err := bad.sign(e.lsp); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SetReplicaState(&bad); !errors.Is(err, ErrDiverged) {
+			t.Fatalf("tampered %s at the frontier: %v, want ErrDiverged", name, err)
+		}
+	}
+	// A genuine checkpoint ahead of the applied prefix covers a record
+	// the follower does not hold: refused, never parked, and the current
+	// checkpoint keeps serving.
+	e.append(t, "not yet replicated")
+	ahead, err := e.ledger.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetReplicaState(ahead); !errors.Is(err, ErrStaleCheckpoint) {
+		t.Fatalf("checkpoint ahead of the prefix: %v, want ErrStaleCheckpoint", err)
+	}
+	cur, err := f.State()
+	if err != nil || cur.JSN != st.JSN || cur.JournalRoot != st.JournalRoot {
+		t.Fatalf("current checkpoint after refusals: %+v, %v; want jsn %d", cur, err, st.JSN)
+	}
+	if info, _ := f.ReplicaStatus(); info.CheckpointJSN != st.JSN {
+		t.Fatalf("watermark moved to %d, want %d", info.CheckpointJSN, st.JSN)
+	}
+	// Catching up to it installs it.
+	pump(t, e.ledger, f)
+	if cur, err := f.State(); err != nil || cur.JSN != ahead.JSN {
+		t.Fatalf("after catch-up: %+v, %v; want jsn %d", cur, err, ahead.JSN)
 	}
 }
 

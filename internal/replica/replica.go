@@ -33,7 +33,8 @@ type Source interface {
 type Config struct {
 	Source Source
 	Ledger *ledger.Ledger
-	// Interval is the idle poll delay once caught up. Zero means 50ms.
+	// Interval is the idle delay after a round that installed its
+	// checkpoint. Zero means 50ms.
 	Interval time.Duration
 	// RetryBackoff bounds the first post-failure wait; each actual wait
 	// is drawn uniformly from [0, bound] (full jitter, same shape as the
@@ -42,7 +43,8 @@ type Config struct {
 	RetryBackoff time.Duration
 	// MaxBackoff caps the backoff bound. Zero means 2s.
 	MaxBackoff time.Duration
-	// Batch is the per-pull record cap. Zero means 256.
+	// Batch is the per-pull record cap. Zero means 256. A round pulls as
+	// many frames as it needs to reach its checkpoint.
 	Batch int
 
 	// jitterFn is a test seam for the backoff draw.
@@ -52,9 +54,9 @@ type Config struct {
 // Status is a point-in-time snapshot of replication progress, the
 // source of truth for the follower's /readyz watermark. AppliedJSN is
 // the follower's journal frontier; PrimaryJSN is the primary's frontier
-// as of the last successful pull, so PrimaryJSN-AppliedJSN is the known
-// replication lag (an honest lower bound during a partition — the
-// primary may have moved further). CheckpointJSN is the newest verified
+// as of the last checkpoint fetch or journal pull, so
+// PrimaryJSN-AppliedJSN is the known replication lag (an honest lower
+// bound during a partition — the primary may have moved further). CheckpointJSN is the newest verified
 // primary-signed state, the horizon the follower can prove up to.
 type Status struct {
 	Generation    uint64
@@ -110,12 +112,14 @@ func (p *Puller) Status() Status {
 }
 
 // Run pulls until ctx is done, backing off with full jitter after
-// failures and idling at Interval once caught up. It returns ctx.Err():
-// replication has no successful termination, only cancellation.
+// failures and idling Interval after every round that installed its
+// checkpoint; a round that stopped short (a purge-gap resync) runs again
+// at once. It returns ctx.Err(): replication has no successful
+// termination, only cancellation.
 func (p *Puller) Run(ctx context.Context) error {
 	backoff := p.cfg.RetryBackoff
 	for {
-		err := p.RunOnce(ctx)
+		installed, err := p.runOnce(ctx)
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -129,7 +133,7 @@ func (p *Puller) Run(ctx context.Context) error {
 			}
 		} else {
 			backoff = p.cfg.RetryBackoff
-			if p.Status().CaughtUp {
+			if installed {
 				wait = p.cfg.Interval
 			}
 		}
@@ -139,25 +143,38 @@ func (p *Puller) Run(ctx context.Context) error {
 	}
 }
 
-// RunOnce performs one replication round: survival → journals (with
-// purge-gap resync and purge-barrier handling) → blocks → checkpoint,
-// the same order the primary's group commit flushes in, so every prefix
-// the follower persists is one the primary could have crashed at.
+// RunOnce performs one replication round: fetch and verify the primary's
+// signed checkpoint, then survival → journals up to the checkpoint (with
+// purge-gap resync and purge-barrier handling) → blocks → install. The
+// streams apply in the order the primary's group commit flushes them, so
+// every prefix the follower persists is one the primary could have
+// crashed at; and because the checkpoint is fetched first, the round
+// applies exactly the prefix it covers and installs it at the applied
+// frontier, where every root is cross-checked.
 func (p *Puller) RunOnce(ctx context.Context) error {
-	err := p.round(ctx)
+	_, err := p.runOnce(ctx)
+	return err
+}
+
+func (p *Puller) runOnce(ctx context.Context) (installed bool, err error) {
+	installed, err = p.round(ctx)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.st.Rounds++
 	p.refreshLocked()
+	if !installed {
+		// A failed or resynced round must not leave a stale caught-up
+		// claim standing.
+		p.st.CaughtUp = false
+	}
 	if err != nil {
 		p.st.Degraded = true
-		p.st.CaughtUp = false
 		p.st.LastErr = err.Error()
-		return err
+		return false, err
 	}
 	p.st.Degraded = false
 	p.st.LastErr = ""
-	return nil
+	return installed, nil
 }
 
 // refreshLocked re-derives the ledger-side Status fields.
@@ -172,22 +189,51 @@ func (p *Puller) refreshLocked() {
 	}
 }
 
-func (p *Puller) round(ctx context.Context) error {
+// round runs one replication round and reports whether it installed its
+// checkpoint. It stops short, with no error, after a purge-gap resync:
+// the follower was re-based and the next round continues from the new
+// base.
+func (p *Puller) round(ctx context.Context) (bool, error) {
 	l := p.cfg.Ledger
-	// Pessimistic until this round proves otherwise: a resync or error
-	// path must not leave a stale caught-up claim standing.
-	p.mu.Lock()
-	p.st.CaughtUp = false
-	p.mu.Unlock()
-	// Survival first: a purge barrier later in the round needs every
+	// Checkpoint first: it is this round's target. Records committed
+	// while the round runs wait for the next one rather than leaving the
+	// checkpoint behind the applied prefix.
+	st, err := p.cfg.Source.State(ctx)
+	if err != nil {
+		return false, err
+	}
+	p.observePrimary(st.JSN)
+	// Survival next: a purge barrier later in the round needs every
 	// survivor the primary has already flushed.
 	if err := p.pullSurvival(ctx); err != nil {
-		return err
+		return false, err
 	}
-	// Journals.
+	primaryJournals, ok, err := p.pullJournals(ctx, st.JSN)
+	if err != nil || !ok {
+		return false, err
+	}
+	primaryBlocks, err := p.pullBlocks(ctx)
+	if err != nil {
+		return false, err
+	}
+	if err := l.SetReplicaState(st); err != nil {
+		return false, err
+	}
+	p.mu.Lock()
+	p.st.CaughtUp = l.Size() >= primaryJournals && l.Height() >= primaryBlocks
+	p.mu.Unlock()
+	return true, nil
+}
+
+// pullJournals applies journal frames, each capped at target, until the
+// follower's prefix reaches target (the checkpoint's jsn). It returns
+// the primary's journal frontier as last observed. ok is false when a
+// purge gap re-based the follower instead.
+func (p *Puller) pullJournals(ctx context.Context, target uint64) (primaryLen uint64, ok bool, err error) {
+	l := p.cfg.Ledger
 	fjBase, fjLen, err := l.StreamFrontier(ledger.StreamJournals)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
 	// A follower crash can land between a resync's journal re-base and
 	// the end of its digest fill. The reopened ledger is seeding again
@@ -195,75 +241,84 @@ func (p *Puller) round(ctx context.Context) error {
 	// journal stream already starts at the new base. Finish the
 	// inherited fill first or the round loop spins forever.
 	if _, fdLen, err := l.StreamFrontier(ledger.StreamDigests); err != nil {
-		return err
+		return 0, false, err
 	} else if fdLen < fjBase {
 		if err := p.fillDigests(ctx, fjBase); err != nil {
-			return err
+			return 0, false, err
 		}
 	}
-	f, err := p.pull(ctx, ledger.StreamJournals, fjLen)
-	if err != nil {
-		return err
-	}
-	p.observePrimary(f.Len)
-	if f.Base > fjLen {
-		// Gap: the primary purged past our frontier. Re-base, fill the
-		// fam from the never-truncated digest stream, and let the purge's
-		// pseudo genesis reseed the projections.
-		if err := p.resync(ctx, f.Base); err != nil {
-			return err
+	primaryLen = target
+	for fjLen < target {
+		f, err := p.pull(ctx, ledger.StreamJournals, fjLen, int(min(target-fjLen, uint64(p.cfg.Batch))))
+		if err != nil {
+			return 0, false, err
 		}
-		return nil // next round continues from the new base
-	}
-	if len(f.Records) > 0 {
+		p.observePrimary(f.Len)
+		primaryLen = f.Len
+		if f.Base > fjLen {
+			// Gap: the primary purged past our frontier. Re-base, fill the
+			// fam from the never-truncated digest stream, and let the
+			// purge's pseudo genesis reseed the projections.
+			return 0, false, p.resync(ctx, f.Base)
+		}
 		applied, barrier, err := l.ApplyReplicatedJournals(f.Offset, f.Records, false)
 		if err != nil {
-			return err
+			return 0, false, err
 		}
 		if barrier {
 			// A purge journal in steady state: sync survival all the way
 			// to the primary's frontier, then replay the remainder with
 			// the barrier lifted.
 			if err := p.pullSurvivalToFrontier(ctx); err != nil {
-				return err
+				return 0, false, err
 			}
 			if _, _, err := l.ApplyReplicatedJournals(f.Offset+uint64(applied), f.Records[applied:], true); err != nil {
-				return err
+				return 0, false, err
 			}
 		}
+		_, next, err := l.StreamFrontier(ledger.StreamJournals)
+		if err != nil {
+			return 0, false, err
+		}
+		if next == fjLen {
+			return 0, false, fmt.Errorf("%w: journals stalled at %d, primary frontier %d, checkpoint %d",
+				ErrProtocol, fjLen, f.Len, target)
+		}
+		fjLen = next
 	}
-	// Blocks.
-	_, fbLen, err := l.StreamFrontier(ledger.StreamBlocks)
-	if err != nil {
-		return err
-	}
-	bf, err := p.pull(ctx, ledger.StreamBlocks, fbLen)
-	if err != nil {
-		return err
-	}
-	if len(bf.Records) > 0 {
-		if _, err := l.ApplyReplicatedBlocks(bf.Offset, bf.Records); err != nil {
-			return err
+	return primaryLen, true, nil
+}
+
+// pullBlocks applies block headers until the follower's chain reaches
+// the primary's or stops at a header covering records past the applied
+// prefix (it lands next round). It returns the primary's block count.
+func (p *Puller) pullBlocks(ctx context.Context) (uint64, error) {
+	l := p.cfg.Ledger
+	for {
+		_, fbLen, err := l.StreamFrontier(ledger.StreamBlocks)
+		if err != nil {
+			return 0, err
+		}
+		f, err := p.pull(ctx, ledger.StreamBlocks, fbLen, p.cfg.Batch)
+		if err != nil {
+			return 0, err
+		}
+		applied := 0
+		if len(f.Records) > 0 {
+			if applied, err = l.ApplyReplicatedBlocks(f.Offset, f.Records); err != nil {
+				return 0, err
+			}
+		}
+		if applied == 0 || applied < len(f.Records) || fbLen+uint64(applied) >= f.Len {
+			return f.Len, nil
 		}
 	}
-	// Checkpoint last, so it covers everything just applied.
-	st, err := p.cfg.Source.State(ctx)
-	if err != nil {
-		return err
-	}
-	if err := l.SetReplicaState(st); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.st.CaughtUp = l.Size() >= f.Len && l.Height() >= bf.Len
-	p.mu.Unlock()
-	return nil
 }
 
 // pull fetches, decodes, and verifies one frame, rejecting any that
 // answers a different question than asked.
-func (p *Puller) pull(ctx context.Context, stream string, from uint64) (*SegmentFrame, error) {
-	raw, err := p.cfg.Source.PullFrame(ctx, stream, from, p.cfg.Batch)
+func (p *Puller) pull(ctx context.Context, stream string, from uint64, max int) (*SegmentFrame, error) {
+	raw, err := p.cfg.Source.PullFrame(ctx, stream, from, max)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +341,7 @@ func (p *Puller) pullSurvival(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	f, err := p.pull(ctx, ledger.StreamSurvival, fsLen)
+	f, err := p.pull(ctx, ledger.StreamSurvival, fsLen, p.cfg.Batch)
 	if err != nil {
 		return err
 	}
@@ -305,7 +360,7 @@ func (p *Puller) pullSurvivalToFrontier(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		f, err := p.pull(ctx, ledger.StreamSurvival, fsLen)
+		f, err := p.pull(ctx, ledger.StreamSurvival, fsLen, p.cfg.Batch)
 		if err != nil {
 			return err
 		}
@@ -346,7 +401,7 @@ func (p *Puller) fillDigests(ctx context.Context, base uint64) error {
 		if fdLen >= base {
 			return nil
 		}
-		f, err := p.pull(ctx, ledger.StreamDigests, fdLen)
+		f, err := p.pull(ctx, ledger.StreamDigests, fdLen, p.cfg.Batch)
 		if err != nil {
 			return err
 		}

@@ -361,3 +361,133 @@ func TestPullerRunBackoff(t *testing.T) {
 		}
 	}
 }
+
+// stateHookSource runs before() at the start of every State call, which
+// is the start of every round, and keeps the state it returns.
+type stateHookSource struct {
+	Source
+	before func()
+	last   *ledger.SignedState
+}
+
+func (s *stateHookSource) State(ctx context.Context) (*ledger.SignedState, error) {
+	s.before()
+	st, err := s.Source.State(ctx)
+	s.last = st
+	return st, err
+}
+
+// TestRoundInstallsMidRoundCommit: a record committed while a round runs
+// is provable on the follower after that one round. The round fetches its
+// checkpoint first and pulls exactly the prefix it covers, so the
+// checkpoint lands at the applied frontier instead of waiting a round.
+func TestRoundInstallsMidRoundCommit(t *testing.T) {
+	pr := newPair(t)
+	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 5; i++ {
+		pr.append(t, fmt.Sprintf("doc-%d", i), "K")
+	}
+	pr.catchUp(t, ctx)
+
+	// Each round's State call first commits one record on the primary,
+	// so the checkpoint it returns covers a record not yet pulled.
+	src := &stateHookSource{Source: pr.source, before: func() { pr.append(t, "mid-round", "K") }}
+	pr.puller.cfg.Source = src
+	for round := 0; round < 3; round++ {
+		if err := pr.puller.RunOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		st := pr.puller.Status()
+		if st.CheckpointJSN != src.last.JSN || st.CheckpointJSN != pr.follower.Size() {
+			t.Fatalf("round %d: checkpoint %d, fetched state %d, follower size %d",
+				round, st.CheckpointJSN, src.last.JSN, pr.follower.Size())
+		}
+		p, err := pr.follower.ProveExistence(src.last.JSN-1, false)
+		if err != nil {
+			t.Fatalf("round %d: mid-round commit not provable: %v", round, err)
+		}
+		if _, err := ledger.VerifyExistence(p, pr.lsp.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCaughtUpHoldsMidRound: CaughtUp describes the last completed
+// round, so a round in flight on a level follower does not flicker it
+// false under a concurrent WaitCaughtUp-style reader.
+func TestCaughtUpHoldsMidRound(t *testing.T) {
+	pr := newPair(t)
+	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		pr.append(t, fmt.Sprintf("doc-%d", i))
+	}
+	pr.catchUp(t, ctx)
+	var mid []bool
+	pr.puller.cfg.Source = &stateHookSource{Source: pr.source, before: func() {
+		mid = append(mid, pr.puller.Status().CaughtUp)
+	}}
+	if err := pr.puller.RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(mid) != 1 || !mid[0] || !pr.puller.Status().CaughtUp {
+		t.Fatalf("CaughtUp mid-round %v, after %v", mid, pr.puller.Status().CaughtUp)
+	}
+}
+
+type pullReq struct {
+	stream string
+	from   uint64
+	max    int
+}
+
+// recordingSource logs every pull it forwards.
+type recordingSource struct {
+	Source
+	pulls []pullReq
+}
+
+func (s *recordingSource) PullFrame(ctx context.Context, stream string, from uint64, max int) ([]byte, error) {
+	s.pulls = append(s.pulls, pullReq{stream, from, max})
+	return s.Source.PullFrame(ctx, stream, from, max)
+}
+
+// TestRoundFramesCappedAtCheckpoint: a follower many batches behind
+// catches up to the checkpoint in one round, one journals request per
+// Batch records, and no frame asks past the checkpoint.
+func TestRoundFramesCappedAtCheckpoint(t *testing.T) {
+	pr := newPair(t)
+	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 20; i++ {
+		pr.append(t, fmt.Sprintf("doc-%d", i), "K")
+	}
+	src := &recordingSource{Source: pr.source}
+	pl, err := New(Config{Source: src, Ledger: pr.follower, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	size := pr.primary.Size()
+	st := pl.Status()
+	if st.CheckpointJSN != size || pr.follower.Size() != size || pr.follower.Height() != pr.primary.Height() || !st.CaughtUp {
+		t.Fatalf("one round left follower at %d/%d, status %+v; primary %d/%d",
+			pr.follower.Size(), pr.follower.Height(), st, size, pr.primary.Height())
+	}
+	journals := 0
+	for _, q := range src.pulls {
+		if q.stream != ledger.StreamJournals {
+			continue
+		}
+		journals++
+		if q.max < 1 || q.max > 4 || q.from+uint64(q.max) > size {
+			t.Fatalf("journal pull %+v overruns batch 4 or checkpoint %d", q, size)
+		}
+	}
+	if want := int(size+3) / 4; journals != want {
+		t.Fatalf("%d journal pulls for %d records, want %d", journals, size, want)
+	}
+}

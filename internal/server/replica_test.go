@@ -310,8 +310,8 @@ func TestHealthzJSONShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Apply journal frames only (no checkpoint): drive one round where
-	// the state fetch fails, leaving watermark behind jsn.
+	// Apply journal frames only (no checkpoint): drive one round cut
+	// before its install, leaving watermark behind jsn.
 	seen = driveStaleRound(t, fs)
 	if seen != nil {
 		t.Fatal(seen)
@@ -326,8 +326,9 @@ func TestHealthzJSONShape(t *testing.T) {
 }
 
 // driveStaleRound advances the follower's streams without a new
-// checkpoint by running a round against a source whose State fetch
-// fails after the journals applied.
+// checkpoint: the round fetches the primary's checkpoint and applies the
+// journals it covers, then its blocks pull fails, so the round ends
+// before the install.
 func driveStaleRound(t *testing.T, fs *followerStack) error {
 	t.Helper()
 	p, err := replica.New(replica.Config{
@@ -339,16 +340,19 @@ func driveStaleRound(t *testing.T, fs *followerStack) error {
 		return err
 	}
 	err = p.RunOnce(t.Context())
-	if err == nil || !errors.Is(err, errNoState) {
+	if err == nil || !errors.Is(err, errNoBlocks) {
 		return fmt.Errorf("stale round: %v", err)
 	}
 	return nil
 }
 
-var errNoState = errors.New("state fetch severed")
+var errNoBlocks = errors.New("blocks pull severed")
 
 type staleSource struct{ replica.Source }
 
-func (s staleSource) State(ctx context.Context) (*ledger.SignedState, error) {
-	return nil, errNoState
+func (s staleSource) PullFrame(ctx context.Context, stream string, from uint64, max int) ([]byte, error) {
+	if stream == ledger.StreamBlocks {
+		return nil, errNoBlocks
+	}
+	return s.Source.PullFrame(ctx, stream, from, max)
 }

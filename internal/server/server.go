@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ledgerdb/internal/cmtree"
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/index"
 	"ledgerdb/internal/journal"
@@ -159,7 +160,10 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusForbidden
 	case errors.Is(err, errBodyTooLarge):
 		status = http.StatusRequestEntityTooLarge
-	case errors.Is(err, journal.ErrBadRequest), errors.Is(err, journal.ErrDecode):
+	case errors.Is(err, journal.ErrBadRequest), errors.Is(err, journal.ErrDecode),
+		errors.Is(err, cmtree.ErrBadRange):
+		// ErrBadRange: a clue-proof version range that is empty, reversed
+		// or past the lineage — the caller's mistake, not the server's.
 		status = http.StatusBadRequest
 	case errors.Is(err, tledger.ErrStale), errors.Is(err, tledger.ErrFuture):
 		status = http.StatusConflict

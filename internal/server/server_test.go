@@ -187,6 +187,10 @@ func TestClueProofRejectsMalformedRange(t *testing.T) {
 		"?begin=x":        http.StatusBadRequest,
 		"?end=-1":         http.StatusBadRequest,
 		"?begin=0&end=2x": http.StatusBadRequest,
+		"?begin=5&end=2":  http.StatusBadRequest, // reversed
+		"?begin=2&end=2":  http.StatusBadRequest, // empty
+		"?begin=0&end=9":  http.StatusBadRequest, // past the 3-version lineage
+		"?begin=3":        http.StatusBadRequest, // begin at the lineage end
 		"?begin=1&end=3":  http.StatusOK,
 		"":                http.StatusOK,
 		"?begin=&end=":    http.StatusOK,

@@ -56,14 +56,16 @@ stage_tests() {
 
 stage_fuzz() {
     echo "== fuzz smoke (10s per wire decoder) =="
-    # Anchored: -fuzz must match exactly one target per package.
-    go test -run xxx -fuzz '^FuzzDecodeExistenceProof$' -fuzztime 10s ./internal/ledger > /dev/null
-    go test -run xxx -fuzz '^FuzzDecodeExistenceProofBatch$' -fuzztime 10s ./internal/ledger > /dev/null
-    go test -run xxx -fuzz FuzzDecodeClueBundle -fuzztime 10s ./internal/ledger > /dev/null
-    go test -run xxx -fuzz FuzzDecodeReceipt -fuzztime 10s ./internal/ledger > /dev/null
-    go test -run xxx -fuzz FuzzDecodeSchedule -fuzztime 10s ./internal/netchaos > /dev/null
-    go test -run xxx -fuzz FuzzMutateEnvelope -fuzztime 10s ./internal/netchaos > /dev/null
-    go test -run xxx -fuzz FuzzDecodeGlobalProof -fuzztime 10s ./internal/shard > /dev/null
+    # Anchored: -fuzz must match exactly one target per package. Every
+    # 10s smoke here and below bounds -fuzzminimizetime (default 60s per
+    # interesting input) so the budget goes to executing inputs.
+    go test -run xxx -fuzz '^FuzzDecodeExistenceProof$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz '^FuzzDecodeExistenceProofBatch$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz FuzzDecodeClueBundle -fuzztime 10s -fuzzminimizetime 1s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz FuzzDecodeReceipt -fuzztime 10s -fuzzminimizetime 1s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz FuzzDecodeSchedule -fuzztime 10s -fuzzminimizetime 1s ./internal/netchaos > /dev/null
+    go test -run xxx -fuzz FuzzMutateEnvelope -fuzztime 10s -fuzzminimizetime 1s ./internal/netchaos > /dev/null
+    go test -run xxx -fuzz FuzzDecodeGlobalProof -fuzztime 10s -fuzzminimizetime 1s ./internal/shard > /dev/null
 }
 
 stage_race() {
@@ -106,7 +108,7 @@ stage_shard() {
     go test -race -timeout 600s -count 1 ./internal/shard ./internal/integration/shardtest
 
     echo "== shard partitioner fuzz seeds =="
-    go test -run xxx -fuzz FuzzRoute -fuzztime 10s ./internal/shard > /dev/null
+    go test -run xxx -fuzz FuzzRoute -fuzztime 10s -fuzzminimizetime 1s ./internal/shard > /dev/null
 }
 
 stage_query() {
@@ -122,7 +124,7 @@ stage_query() {
     go test -run 'TestIndexCrash' -count 1 ./internal/integration/crashtest
 
     echo "== absence proof fuzz smoke =="
-    go test -run xxx -fuzz FuzzDecodeAbsenceProof -fuzztime 10s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz FuzzDecodeAbsenceProof -fuzztime 10s -fuzzminimizetime 1s ./internal/ledger > /dev/null
 }
 
 stage_replica() {
@@ -138,8 +140,8 @@ stage_replica() {
     REPLICA_CRASHTEST_ITERS=200 go test -run TestReplicaCrashTorture -count 1 ./internal/integration/crashtest
 
     echo "== replication wire fuzz smoke =="
-    go test -run xxx -fuzz FuzzDecodeSegmentFrame -fuzztime 10s ./internal/replica > /dev/null
-    go test -run xxx -fuzz FuzzDecodeProofBundle -fuzztime 10s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz FuzzDecodeSegmentFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/replica > /dev/null
+    go test -run xxx -fuzz FuzzDecodeProofBundle -fuzztime 10s -fuzzminimizetime 1s ./internal/ledger > /dev/null
 }
 
 # bench_smoke PATTERN BENCHTIME PKG... runs the benchmarks matching
