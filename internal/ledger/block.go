@@ -86,7 +86,7 @@ type SignedState struct {
 }
 
 func (s *SignedState) signedDigest() hashutil.Digest {
-	w := wire.NewWriter(224)
+	w := wire.GetWriter()
 	w.String("ledgerdb/state/v2")
 	w.String(s.URI)
 	w.Uvarint(s.JSN)
@@ -97,7 +97,9 @@ func (s *SignedState) signedDigest() hashutil.Digest {
 	w.Digest(s.ClueSetRoot)
 	w.Int64(s.Timestamp)
 	sig.EncodePublicKey(w, s.LSPPK)
-	return hashutil.Sum(w.Bytes())
+	d := hashutil.Sum(w.Bytes())
+	wire.PutWriter(w)
+	return d
 }
 
 // Digest returns the state digest submitted to the TSA / T-Ledger for
@@ -114,12 +116,22 @@ func (s *SignedState) sign(kp *sig.KeyPair) error {
 	return nil
 }
 
-// Verify checks the LSP signature on the state.
+// verifiedStates remembers the signed states this process has already
+// verified. Every proof ships a state, and proofs reuse the newest
+// signed state that covers them, so a client reading many proofs checks
+// each state's signature once, not once per proof. Only state
+// signatures go through it: π_c, receipts and multisigs are verified
+// afresh every time.
+var verifiedStates sig.VerifyMemo
+
+// Verify checks the LSP signature on the state. A state whose exact
+// bytes this process has verified before is answered from
+// verifiedStates.
 func (s *SignedState) Verify(lsp sig.PublicKey) error {
 	if s.LSPPK != lsp {
 		return fmt.Errorf("%w: state signed by %s, want %s", journal.ErrBadSignature, s.LSPPK, lsp)
 	}
-	if err := sig.Verify(s.LSPPK, s.signedDigest(), s.LSPSig); err != nil {
+	if err := verifiedStates.Verify(s.LSPPK, s.signedDigest(), s.LSPSig); err != nil {
 		return fmt.Errorf("%w: state: %v", journal.ErrBadSignature, err)
 	}
 	return nil

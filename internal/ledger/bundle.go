@@ -50,7 +50,7 @@ type ProofBundle struct {
 // exists between the record and the anchoring state; bundles without one
 // still prove existence, just not commit-time.
 func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error) {
-	ps, st, err := l.proveRecords([]uint64{jsn}, 0, nil, withPayload)
+	ps, st, err := l.proveRecords([]uint64{jsn}, 0, nil, true, withPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -86,11 +86,11 @@ func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error
 	// fam root over [0, timeJSN) — AnchorTimeWith holds the commit lock
 	// across the pegging round, so the root at size timeJSN is exactly
 	// what the TSA signed.
-	tp, _, _, err := l.snapshotProofs([]uint64{timeJSN}, st.JSN, nil)
+	tp, _, _, err := l.snapshotProofs([]uint64{timeJSN}, st.JSN, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	wp, _, _, err := l.snapshotProofs([]uint64{jsn}, timeJSN, nil)
+	wp, _, _, err := l.snapshotProofs([]uint64{jsn}, timeJSN, nil, false)
 	if err != nil {
 		return nil, err
 	}

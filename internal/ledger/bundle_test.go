@@ -127,6 +127,38 @@ func TestBundleTamperRejected(t *testing.T) {
 	}
 }
 
+// TestBundleWhenChainPastCoveringState: a primary bundle anchors to the
+// live state, not to an older signed state that covers the record, so a
+// time journal committed after that state still makes the when-chain.
+func TestBundleWhenChainPastCoveringState(t *testing.T) {
+	e := newEnv(t, nil)
+	for i := 0; i < 5; i++ {
+		e.append(t, fmt.Sprintf("doc-%d", i), "K")
+	}
+	older, err := e.ledger.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	authority := tsa.New("a", tsa.Options{Clock: e.cfg.Clock})
+	tr, err := e.ledger.AnchorTimeWith(authority.Stamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.JSN < older.JSN {
+		t.Fatalf("time journal %d inside the older state at %d", tr.JSN, older.JSN)
+	}
+	b, err := e.ledger.ExportBundle(2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.State.JSN <= tr.JSN || b.TimeRecordBytes == nil {
+		t.Fatalf("bundle anchored at %d has no when-chain for the time journal at %d", b.State.JSN, tr.JSN)
+	}
+	if _, ta, err := VerifyBundle(b, e.lsp.Public(), []sig.PublicKey{authority.Public()}); err != nil || ta == nil {
+		t.Fatalf("VerifyBundle: %v, attestation %v", err, ta)
+	}
+}
+
 // TestBundleFromFollower exports a bundle from a replica: it anchors to
 // the primary-signed checkpoint and verifies offline against the same
 // pinned key — the degraded-read topology's escape hatch, proofs that

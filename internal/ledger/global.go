@@ -48,7 +48,7 @@ func (l *Ledger) ProveExistenceAt(jsn, size uint64, withPayload bool) (*RecordPr
 	if jsn >= size {
 		return nil, fmt.Errorf("%w: jsn %d at size %d", ErrNotFound, jsn, size)
 	}
-	ps, _, err := l.proveRecords([]uint64{jsn}, size, nil, withPayload)
+	ps, _, err := l.proveRecords([]uint64{jsn}, size, nil, false, withPayload)
 	if err != nil {
 		return nil, err
 	}

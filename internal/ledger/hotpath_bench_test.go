@@ -73,6 +73,14 @@ func TestEncodeDigestZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("encode+digest path: %.1f allocs/op, want 0", allocs)
 	}
+	// Every state verify digests the state as its memo key.
+	st := &SignedState{URI: "ledger://test", JSN: 42, Timestamp: 1000}
+	for i := 0; i < 8; i++ {
+		_ = st.signedDigest()
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = st.signedDigest() }); allocs != 0 {
+		t.Fatalf("state digest: %.1f allocs/op, want 0", allocs)
+	}
 }
 
 // benchSignedRequests pre-signs n requests outside the timed region.

@@ -583,6 +583,30 @@ func (l *Ledger) stateLocked() (*SignedState, error) {
 	return l.stateSigs.signAndStore(gen, skel, l.cfg.LSP)
 }
 
+// coveringStateLocked returns the newest signed state whose JSN covers
+// jsn top: the root of every unanchored existence proof. A fam path to
+// a past size (fam.ProveAt) folds a covered record to exactly the root
+// signed at that size, and no later mutation changes that path (occult
+// keeps the tx-hash, a purge only refuses jsns below the new base), so
+// on a primary the state cache's newest entry serves, of any
+// generation. Proofs between appends then share one signature, and a
+// verifier that has checked it once skips the ECDSA verify
+// (verifiedStates). Only a request past that entry signs the live
+// state. A follower cannot sign: it returns its newest primary-signed
+// checkpoint even when that does not cover top, and snapshotProofs
+// refuses the uncovered jsns with ErrStaleCheckpoint (503 at the
+// server), which keeps a partitioned follower serving its checkpointed
+// prefix.
+func (l *Ledger) coveringStateLocked(top uint64) (*SignedState, error) {
+	if l.cfg.ApplyOnly {
+		return l.replicaAnyStateLocked()
+	}
+	if st := l.stateSigs.newest(); st != nil && st.JSN > top {
+		return st, nil
+	}
+	return l.stateLocked()
+}
+
 // GetJournal returns the committed record at jsn. Occulted journals come
 // back with the Occulted bit set; purged ones fail with ErrPurged. The
 // ledger lock covers only the in-memory snapshot (bounds, occult bit);

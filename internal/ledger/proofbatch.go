@@ -11,8 +11,8 @@ import (
 // This file implements batched existence proofs: N journals proven
 // against ONE shared SignedState. The LSP signature — the dominant cost
 // of a single proof — is paid once per batch (and, with the state
-// cache, once per commit generation), while each journal keeps its own
-// fam path. Client-side, VerifyExistenceBatch checks the state
+// cache, at most once per commit generation), while each journal keeps
+// its own fam path. Client-side, VerifyExistenceBatch checks the state
 // signature once and then folds every record through its path.
 
 // MaxProofBatch bounds the journals per batched proof request, both at
@@ -28,8 +28,8 @@ type ExistenceProofBatch struct {
 
 // ProveExistenceBatch builds existence proofs for every jsn through the
 // same prover as ProveExistence, so all fam paths and the shared signed
-// state come from one read-lock section and describe the same commit
-// generation.
+// state come from one read-lock section and fold to that state's
+// JournalRoot.
 func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*ExistenceProofBatch, error) {
 	if len(jsns) == 0 {
 		return nil, fmt.Errorf("%w: empty proof batch", journal.ErrBadRequest)
@@ -37,7 +37,7 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*Existenc
 	if len(jsns) > MaxProofBatch {
 		return nil, fmt.Errorf("%w: proof batch of %d exceeds %d", journal.ErrBadRequest, len(jsns), MaxProofBatch)
 	}
-	ps, st, err := l.proveRecords(jsns, 0, nil, withPayload)
+	ps, st, err := l.proveRecords(jsns, 0, nil, false, withPayload)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,9 @@ import (
 // per call. The cache has its own mutex (acquired after l.mu in lock
 // order, never the reverse), which doubles as a single-flight gate:
 // concurrent misses at the same generation serialize on it, the first
-// signs, the rest return the freshly cached state.
+// signs, the rest return the freshly cached state. Unanchored existence
+// proofs go further and reuse the newest entry of any generation that
+// covers them (coveringStateLocked).
 type stateCache struct {
 	mu  sync.Mutex
 	gen uint64       // generation st was signed at
@@ -31,6 +33,14 @@ func (c *stateCache) get(gen uint64) *SignedState {
 		return c.st
 	}
 	return nil
+}
+
+// newest returns the newest state signed so far, of any generation, or
+// nil before the first sign.
+func (c *stateCache) newest() *SignedState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.st
 }
 
 // clueSetCache memoizes the sorted clue-set (absence) commitment. Key

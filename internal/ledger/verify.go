@@ -38,9 +38,9 @@ type ExistenceProof struct {
 	State *SignedState
 }
 
-// ProveExistence builds an existence proof for jsn against the live
-// state (on a follower, the newest checkpoint). withPayload controls
-// whether the raw payload ships along.
+// ProveExistence builds an existence proof for jsn against the newest
+// signed state that covers it (on a follower, the newest checkpoint).
+// withPayload controls whether the raw payload ships along.
 func (l *Ledger) ProveExistence(jsn uint64, withPayload bool) (*ExistenceProof, error) {
 	return l.ProveExistenceAnchored(jsn, nil, withPayload)
 }
@@ -51,7 +51,7 @@ func (l *Ledger) ProveExistence(jsn uint64, withPayload bool) (*ExistenceProof, 
 // taken under one read-lock section, so the hop chain ends at exactly
 // the signed JournalRoot even while concurrent appends land.
 func (l *Ledger) ProveExistenceAnchored(jsn uint64, a *fam.Anchor, withPayload bool) (*ExistenceProof, error) {
-	ps, st, err := l.proveRecords([]uint64{jsn}, 0, a, withPayload)
+	ps, st, err := l.proveRecords([]uint64{jsn}, 0, a, false, withPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -66,18 +66,18 @@ func (l *Ledger) ProveExistenceAnchored(jsn uint64, a *fam.Anchor, withPayload b
 //   - a != nil: the live signed state, reached through the verifier's
 //     fam-aoa anchor (on a follower, the checkpoint at exactly the
 //     applied frontier);
-//   - otherwise the live signed state on a primary, or on a follower the
-//     newest primary-signed checkpoint. A follower cannot sign its own
-//     frontier, but fam's historical paths fold any covered record to
-//     exactly the root the primary signed; this keeps a partitioned
-//     follower serving the checkpointed prefix while it refuses the
-//     uncovered tail (ErrStaleCheckpoint, 503 at the server).
-func (l *Ledger) snapshotProofs(jsns []uint64, fold uint64, a *fam.Anchor) ([]RecordProof, []bool, *SignedState, error) {
+//   - live: the live signed state on a primary (ExportBundle, whose
+//     when-chain is searched for below it), the newest checkpoint on a
+//     follower;
+//   - otherwise the newest signed state covering every jsn
+//     (coveringStateLocked).
+func (l *Ledger) snapshotProofs(jsns []uint64, fold uint64, a *fam.Anchor, live bool) ([]RecordProof, []bool, *SignedState, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if fold > l.nextJSN {
 		return nil, nil, nil, fmt.Errorf("%w: proof at size %d of %d", ErrNotFound, fold, l.nextJSN)
 	}
+	var top uint64
 	for _, jsn := range jsns {
 		if jsn >= l.nextJSN {
 			return nil, nil, nil, fmt.Errorf("%w: jsn %d of %d", ErrNotFound, jsn, l.nextJSN)
@@ -85,15 +85,16 @@ func (l *Ledger) snapshotProofs(jsns []uint64, fold uint64, a *fam.Anchor) ([]Re
 		if jsn < l.base {
 			return nil, nil, nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
 		}
+		top = max(top, jsn)
 	}
 	var st *SignedState
 	var err error
 	size := fold
 	if fold == 0 {
-		if l.cfg.ApplyOnly && a == nil {
-			st, err = l.replicaAnyStateLocked()
-		} else {
+		if a != nil || (live && !l.cfg.ApplyOnly) {
 			st, err = l.stateLocked()
+		} else {
+			st, err = l.coveringStateLocked(top)
 		}
 		if err != nil {
 			return nil, nil, nil, err
@@ -123,8 +124,8 @@ func (l *Ledger) snapshotProofs(jsns []uint64, fold uint64, a *fam.Anchor) ([]Re
 // then the record bytes and (when asked for and not occulted) payloads
 // read after it is dropped. Committed records and content-addressed
 // payloads are immutable, and both stores carry their own locks.
-func (l *Ledger) proveRecords(jsns []uint64, fold uint64, a *fam.Anchor, withPayload bool) ([]RecordProof, *SignedState, error) {
-	ps, occ, st, err := l.snapshotProofs(jsns, fold, a)
+func (l *Ledger) proveRecords(jsns []uint64, fold uint64, a *fam.Anchor, live, withPayload bool) ([]RecordProof, *SignedState, error) {
+	ps, occ, st, err := l.snapshotProofs(jsns, fold, a, live)
 	if err != nil {
 		return nil, nil, err
 	}

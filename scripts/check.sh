@@ -175,6 +175,8 @@ stage_perf() {
     echo "== hot-path bench smoke =="
     bench_smoke 'BenchmarkHotPathEncodeDigest|BenchmarkAppendPipelined|BenchmarkGetJournalZeroCopy' 10x ./internal/ledger
     bench_smoke 'BenchmarkAppendMemory|BenchmarkAppendDisk|BenchmarkReadDisk|BenchmarkBlobPutGet' 10x ./internal/streamfs
+    echo "== state verify bench smoke (cold = one ECDSA verify, repeat = memo hit) =="
+    bench_smoke BenchmarkStateVerify 10x ./internal/ledger
 
     echo "== allocs/op regression guards (encode+digest must be 0; Append within checked-in budget) =="
     go test -run 'TestEncodeDigestZeroAlloc|TestAppendAllocBudget' -count 1 -v ./internal/ledger | grep -E 'allocs/op|PASS|FAIL|ok '
